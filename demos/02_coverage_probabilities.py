@@ -16,21 +16,21 @@ print("threshold sweep, uplink coverage")
 print(f"{'dB':>6} {'psi':>9} {'coupled S':>10} {'coupled M':>10} {'decoupled':>10}")
 for db in range(-20, 12, 4):
     gamma = 10 ** (db / 10)
-    cov_s = ul_coverage(params, Policy.COUPLED, Tier.SMALL, gamma).probability
-    cov_m = ul_coverage(params, Policy.COUPLED, Tier.MACRO, gamma).probability
+    cov_s = ul_coverage(params, Policy.COUPLED, Tier.SMALL, gamma)
+    cov_m = ul_coverage(params, Policy.COUPLED, Tier.MACRO, gamma)
     # both tiers share one decoupled uplink coverage value: the conditional
     # serving-distance law given the winning tier has the same shape
-    cov_u = ul_coverage(params, Policy.DECOUPLED, Tier.SMALL, gamma).probability
+    cov_u = ul_coverage(params, Policy.DECOUPLED, Tier.SMALL, gamma)
     print(f"{db:6d} {psi(gamma):9.4f} {cov_s:10.4f} {cov_m:10.4f} {cov_u:10.4f}")
 
 print("\ndownlink coverage: noise-only shape vs interference shape")
 print(f"{'dB':>6} {'scaled_noise':>13} {'interference':>13}")
 for db in range(-20, 12, 4):
     gamma = 10 ** (db / 10)
-    scaled = dl_coverage(params, Policy.COUPLED, Tier.SMALL, gamma).probability
+    scaled = dl_coverage(params, Policy.COUPLED, Tier.SMALL, gamma)
     interf = dl_coverage(
         params, Policy.COUPLED, Tier.SMALL, gamma, form=DlCoverageForm.INTERFERENCE
-    ).probability
+    )
     print(f"{db:6d} {scaled:13.4f} {interf:13.4f}")
 print("the interference shape equals 1 / (1 + psi) when noise is negligible,")
 print("and it is the exact analysis of what the Monte Carlo sampler simulates:")
@@ -39,9 +39,9 @@ gamma = 0.1
 est = empirical_coverage(params, Policy.COUPLED, Link.DL, Tier.SMALL, gamma, 50_000, seed=3)
 analytic = dl_coverage(
     params, Policy.COUPLED, Tier.SMALL, gamma, form=DlCoverageForm.INTERFERENCE
-).probability
+)
 print(
-    f"\n-10 dB downlink small: quadrature {analytic:.4f}, "
+    f"\n-10 dB downlink small: closed form {analytic:.4f}, "
     f"sampled {est.mean:.4f} +- {est.std_error:.4f} "
     f"(z = {(est.mean - analytic) / est.std_error:+.2f})"
 )

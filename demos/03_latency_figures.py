@@ -22,7 +22,7 @@ TITLES = {
 
 for figure in (2, 3, 4, 5):
     spec = figure_sweep_spec(figure)
-    rows = run_sweep(spec, workers=4)
+    rows = run_sweep(spec)
     text = sweep_csv(spec, rows)
     csv_path = OUT / f"{spec.label}.csv"
     csv_path.write_text(text)

@@ -32,7 +32,6 @@ from .config import (
     watts_to_dbm,
 )
 from .coverage import (
-    CoverageResult,
     DlCoverageForm,
     dl_coverage,
     psi,
@@ -64,7 +63,6 @@ from .montecarlo import (
     empirical_mean_load,
     sample_realization,
 )
-from .quadrature import QuadratureError, QuadResult, integrate_semi_infinite
 from .sweeps import SweepSpec, figure_sweep_spec, run_sweep, write_sweep_csv
 from .validate import ValidationReport, run_validation, write_validation_csv
 

@@ -84,7 +84,7 @@ def ul_rate(params: ScenarioParams, policy: Policy, tier: Tier, gamma_ul: float)
     Bandwidth shared across the tier's uplink load, discounted by coverage.
     """
     load = mean_load(params, policy, Link.UL, tier)
-    cov = ul_coverage(params, policy, tier, gamma_ul).probability
+    cov = ul_coverage(params, policy, tier, gamma_ul)
     return params.ul_bandwidth / load * spectral_efficiency(gamma_ul) * cov
 
 
@@ -96,7 +96,7 @@ def dl_rate(
     form: DlCoverageForm = DlCoverageForm.SCALED_NOISE,
 ) -> float:
     load = mean_load(params, policy, Link.DL, tier)
-    cov = dl_coverage(params, policy, tier, gamma_dl, form=form).probability
+    cov = dl_coverage(params, policy, tier, gamma_dl, form=form)
     return params.dl_bandwidth / load * spectral_efficiency(gamma_dl) * cov
 
 

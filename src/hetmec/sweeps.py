@@ -20,7 +20,6 @@ than aborting the sweep.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .config import ScenarioParams, params_from_raw, raw_from_params, RAW_DEFAULTS
@@ -163,15 +162,18 @@ def _evaluate_point(
     try:
         raw = resolve_point_raw(spec, base_raw, value, variant)
         point = params_from_raw(raw)
+        breakdowns = [
+            average_breakdown(point, scheme, form=form, unstable_as_inf=True)
+            for scheme in spec.schemes
+        ]
     except Exception as exc:
-        raise type(exc)(f"axis {spec.axis}={value!r}, variant {variant!r}: {exc}") from exc
+        # Name the grid point in the message in place, so the exception keeps
+        # its type and attributes such as ConfigError.key.
+        exc.args = (f"axis {spec.axis}={value!r}, variant {variant!r}: {exc}",) + exc.args[1:]
+        raise
     rows = []
     gamma_db = float(raw["gamma_ul_db"])
-    for scheme in spec.schemes:
-        try:
-            breakdown = average_breakdown(point, scheme, form=form, unstable_as_inf=True)
-        except Exception as exc:
-            raise type(exc)(f"axis {spec.axis}={value!r}, variant {variant!r}: {exc}") from exc
+    for scheme, breakdown in zip(spec.schemes, breakdowns):
         rows.append(
             SweepRow(
                 axis_value=value,
@@ -192,22 +194,15 @@ def run_sweep(
     spec: SweepSpec,
     base: ScenarioParams | None = None,
     form: DlCoverageForm = DlCoverageForm.SCALED_NOISE,
-    workers: int = 0,
 ) -> list[SweepRow]:
-    """Evaluate the grid; rows are ordered by (variant, axis index) always,
-    regardless of how many workers computed them."""
+    """Evaluate the grid; rows are ordered by (variant, axis index)."""
     base_raw = raw_from_params(base) if base is not None else dict(RAW_DEFAULTS)
-    points = [(value, variant) for variant in spec.variants for value in spec.values]
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(
-                    lambda pv: _evaluate_point(spec, base_raw, pv[0], pv[1], form), points
-                )
-            )
-    else:
-        chunks = [_evaluate_point(spec, base_raw, value, variant, form) for value, variant in points]
-    return [row for chunk in chunks for row in chunk]
+    return [
+        row
+        for variant in spec.variants
+        for value in spec.values
+        for row in _evaluate_point(spec, base_raw, value, variant, form)
+    ]
 
 
 def _format(value: float) -> str:

@@ -1,6 +1,6 @@
 """Analytic-versus-empirical comparison harness.
 
-Every closed-form association quantity and every quadrature coverage value
+Every closed-form association quantity and every closed-form coverage value
 is compared against its Monte Carlo counterpart.  Probabilities are judged
 by the z-score of the binomial estimate; coverage additionally by an
 absolute-delta cap, since its tolerance is stated in absolute terms.
@@ -40,6 +40,13 @@ class ValidationRow:
     def delta(self) -> float:
         return self.empirical - self.analytic
 
+    @property
+    def failed(self) -> bool:
+        """|z| above Z_LIMIT, or a coverage delta above COVERAGE_DELTA_LIMIT."""
+        if abs(self.z_score) > Z_LIMIT:
+            return True
+        return self.quantity.startswith("coverage") and abs(self.delta) > COVERAGE_DELTA_LIMIT
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -51,14 +58,7 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        if self.insufficient_power:
-            return False
-        for row in self.rows:
-            if abs(row.z_score) > Z_LIMIT:
-                return False
-            if row.quantity.startswith("coverage") and abs(row.delta) > COVERAGE_DELTA_LIMIT:
-                return False
-        return True
+        return not self.insufficient_power and not any(row.failed for row in self.rows)
 
 
 def _z(analytic: float, estimate: mc_mod.McEstimate) -> float:
@@ -136,14 +136,14 @@ def run_validation(
                 if tier is Tier.SMALL and not has_small:
                     continue
                 if link is Link.UL:
-                    analytic = cov_mod.ul_coverage(params, policy, tier, gamma).probability
+                    analytic = cov_mod.ul_coverage(params, policy, tier, gamma)
                 else:
                     analytic = cov_mod.dl_coverage(
                         params, policy, tier, gamma, form=DlCoverageForm.INTERFERENCE
-                    ).probability
+                    )
                     scaled = cov_mod.dl_coverage(
                         params, policy, tier, gamma, form=DlCoverageForm.SCALED_NOISE
-                    ).probability
+                    )
                     notes.append(
                         f"scaled_noise dl coverage {policy.value}/{tier.value}: {scaled:.6f}"
                     )

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from hetmec.association import Policy, Tier
+from hetmec.association import Policy, Tier, distance_pdf_slope, serving_distance_pdf, tier_params
 from hetmec.config import params_from_raw
 from hetmec.coverage import (
     DlCoverageForm,
@@ -46,21 +47,21 @@ def test_thinned_user_density_equals_bs_density():
 @pytest.mark.parametrize("tier", list(Tier))
 def test_ul_coverage_tends_to_one_at_tiny_threshold(policy, tier):
     cov = ul_coverage(DEFAULTS, policy, tier, 1e-12)
-    assert cov.probability == pytest.approx(1.0, abs=1e-6)
+    assert cov == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("form", list(DlCoverageForm))
 @pytest.mark.parametrize("tier", list(Tier))
 def test_dl_coverage_tends_to_one_at_tiny_threshold(tier, form):
     cov = dl_coverage(DEFAULTS, Policy.COUPLED, tier, 1e-12, form=form)
-    assert cov.probability == pytest.approx(1.0, abs=1e-6)
+    assert cov == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("policy", list(Policy))
 @pytest.mark.parametrize("tier", list(Tier))
 def test_ul_coverage_monotone_in_threshold(policy, tier):
     values = [
-        ul_coverage(DEFAULTS, policy, tier, 10 ** (db / 10.0)).probability
+        ul_coverage(DEFAULTS, policy, tier, 10 ** (db / 10.0))
         for db in GAMMA_GRID_DB
     ]
     assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
@@ -70,7 +71,7 @@ def test_ul_coverage_monotone_in_threshold(policy, tier):
 @pytest.mark.parametrize("form", list(DlCoverageForm))
 def test_dl_coverage_monotone_in_threshold(form):
     values = [
-        dl_coverage(DEFAULTS, Policy.COUPLED, Tier.MACRO, 10 ** (db / 10.0), form=form).probability
+        dl_coverage(DEFAULTS, Policy.COUPLED, Tier.MACRO, 10 ** (db / 10.0), form=form)
         for db in GAMMA_GRID_DB
     ]
     assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
@@ -80,27 +81,24 @@ def test_dl_coverage_monotone_in_threshold(form):
 @pytest.mark.parametrize("tier", list(Tier))
 @pytest.mark.parametrize("gamma_db", [-15.0, -10.0, 0.0, 5.0])
 def test_ul_noise_free_closed_form(policy, tier, gamma_db):
-    # With the noise term suppressed the integral has an exact closed form;
-    # quadrature must reproduce it to 1e-8.
+    # With the noise term suppressed the integral reduces to the
+    # interference-limited closed form; the general one must reproduce it to 1e-8.
     gamma = 10 ** (gamma_db / 10.0)
     quiet = params_from_raw({"noise_dbm": -300.0})
-    quad = ul_coverage(quiet, policy, tier, gamma, rel_tol=1e-10, abs_tol=1e-14)
+    cov = ul_coverage(quiet, policy, tier, gamma)
     closed = ul_coverage_interference_limited(quiet, policy, tier, gamma)
-    assert quad.probability == pytest.approx(closed, abs=1e-8)
+    assert cov == pytest.approx(closed, abs=1e-8)
 
 
 def test_dl_interference_form_closed_form():
     gamma = 0.1
     quiet = params_from_raw({"noise_dbm": -300.0})
     for tier in Tier:
-        quad = dl_coverage(
-            quiet, Policy.COUPLED, tier, gamma, form=DlCoverageForm.INTERFERENCE,
-            rel_tol=1e-10, abs_tol=1e-14,
-        )
-        assert quad.probability == pytest.approx(
+        cov = dl_coverage(quiet, Policy.COUPLED, tier, gamma, form=DlCoverageForm.INTERFERENCE)
+        assert cov == pytest.approx(
             dl_coverage_interference_limited(quiet, gamma), abs=1e-8
         )
-        assert quad.probability == pytest.approx(1.0 / (1.0 + psi(gamma)), abs=1e-8)
+        assert cov == pytest.approx(1.0 / (1.0 + psi(gamma)), abs=1e-8)
 
 
 @pytest.mark.parametrize("form", list(DlCoverageForm))
@@ -109,36 +107,80 @@ def test_dl_coverage_policy_independent(tier, form):
     # The decoupled downlink marginal normalizer coincides with the coupled
     # association probability, so both policies yield one value.
     gamma = 0.1
-    coupled = dl_coverage(DEFAULTS, Policy.COUPLED, tier, gamma, form=form).probability
-    decoupled = dl_coverage(DEFAULTS, Policy.DECOUPLED, tier, gamma, form=form).probability
+    coupled = dl_coverage(DEFAULTS, Policy.COUPLED, tier, gamma, form=form)
+    decoupled = dl_coverage(DEFAULTS, Policy.DECOUPLED, tier, gamma, form=form)
     assert coupled == pytest.approx(decoupled, abs=1e-10)
 
 
-def test_quadrature_self_consistency_across_tolerances():
-    loose = dl_coverage(
-        DEFAULTS, Policy.COUPLED, Tier.MACRO, 0.1, rel_tol=1e-6, abs_tol=1e-9
-    ).probability
-    tight = dl_coverage(
-        DEFAULTS, Policy.COUPLED, Tier.MACRO, 0.1, rel_tol=1e-9, abs_tol=1e-13
-    ).probability
-    assert loose == pytest.approx(tight, abs=1e-5)
-    assert 0.0 < tight < 1.0
+ORACLE_SCENARIOS = [
+    {"noise_dbm": noise, "gamma_ul_db": gamma_db, "gamma_dl_db": gamma_db}
+    for noise in (-300.0, -120.0, -90.0, -60.0)
+    for gamma_db in (-20.0, -10.0, 0.0, 10.0, 20.0, 200.0)
+] + [
+    # gamma_ul * N / P_u underflows to exactly 0 (the noise-free branch), while
+    # the downlink noise coefficients at the default threshold are subnormal.
+    {"noise_dbm": -3100.0, "gamma_ul_db": -120.0},
+]
+
+
+def _oracle_coverage(params, form, policy, tier):
+    """Coverage by scipy quadrature of the Rayleigh success probability
+    exp(-a*x^4 - b*x^2) against the serving-distance PDF."""
+    own, other = tier_params(params, tier), tier_params(params, tier.other)
+    if form == "ul":
+        gamma = params.ul_sinr_threshold
+        a = gamma * params.noise_power / params.user_tx_power
+        b = math.pi * (params.macro.density + params.small.density) * psi(gamma)
+        pdf_policy = policy
+    else:
+        gamma = params.dl_sinr_threshold
+        a = gamma * params.noise_power / own.tx_power
+        b = 0.0
+        if form is DlCoverageForm.SCALED_NOISE:
+            a *= 1.0 + psi(gamma)
+        else:
+            equivalent = own.density + other.density * math.sqrt(other.tx_power / own.tx_power)
+            b = math.pi * psi(gamma) * equivalent
+        pdf_policy = Policy.COUPLED
+
+    def integrand(x):
+        return math.exp(-a * x**4 - b * x**2) * serving_distance_pdf(params, pdf_policy, tier, x)
+
+    # The mass sits within `scale` of the origin (about 1 mm at 200 dB); split
+    # there so the adaptive rule cannot step over it.
+    scale = 1.0 / math.sqrt(math.pi * distance_pdf_slope(params, pdf_policy, tier) + b)
+    if a > 0.0:
+        scale = min(scale, a**-0.25)
+    pieces = ((0.0, scale), (scale, 10.0 * scale), (10.0 * scale, math.inf))
+    return sum(
+        quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0] for lo, hi in pieces
+    )
+
+
+@pytest.mark.parametrize(
+    "raw", ORACLE_SCENARIOS, ids=lambda raw: ",".join(f"{k}={v:g}" for k, v in raw.items())
+)
+@pytest.mark.parametrize("form", ["ul", *DlCoverageForm], ids=lambda f: getattr(f, "value", f))
+@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("tier", list(Tier))
+def test_closed_form_matches_quadrature_oracle(raw, form, policy, tier):
+    params = params_from_raw(raw)
+    if form == "ul":
+        got = ul_coverage(params, policy, tier, params.ul_sinr_threshold)
+    else:
+        got = dl_coverage(params, policy, tier, params.dl_sinr_threshold, form=form)
+    want = _oracle_coverage(params, form, policy, tier)
+    assert want > 0.0
+    assert math.isclose(got, want, rel_tol=1e-9), (got, want)
 
 
 def test_ul_coverage_monotone_in_interferer_density():
     gamma = 0.1
     values = [
-        _ul_coverage_with_density(DEFAULTS, Policy.DECOUPLED, Tier.SMALL, gamma, lam).probability
+        _ul_coverage_with_density(DEFAULTS, Policy.DECOUPLED, Tier.SMALL, gamma, lam)
         for lam in np.linspace(0.0, 5e-5, 8)
     ]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-
-
-def test_coverage_result_error_contract():
-    cov = ul_coverage(DEFAULTS, Policy.COUPLED, Tier.SMALL, 0.1, rel_tol=1e-8, abs_tol=1e-12)
-    assert cov.abs_error_estimate <= max(1e-8 * cov.probability, 1e-12)
-    assert 0.0 <= cov.probability <= 1.0 + 10.0 * cov.abs_error_estimate
-    assert cov.evaluations >= 15
 
 
 def test_rejects_nonpositive_threshold_and_empty_tier():

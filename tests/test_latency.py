@@ -24,6 +24,7 @@ from hetmec.latency import (
     transmission_time,
     ul_rate,
 )
+from test_coverage import _oracle_coverage
 
 DEFAULTS = params_from_raw({})
 
@@ -71,7 +72,7 @@ def test_ul_rate_recomposes_from_factors():
     for policy in Policy:
         for tier in Tier:
             load = mean_load(DEFAULTS, policy, Link.UL, tier)
-            cov = ul_coverage(DEFAULTS, policy, tier, gamma).probability
+            cov = ul_coverage(DEFAULTS, policy, tier, gamma)
             expected = DEFAULTS.ul_bandwidth / load * spectral_efficiency(gamma) * cov
             assert ul_rate(DEFAULTS, policy, tier, gamma) == pytest.approx(expected, rel=1e-12)
 
@@ -98,7 +99,7 @@ def test_dl_rate_policy_equivalence_for_small_tier():
 def test_dl_rate_recomposes_from_factors():
     gamma = DEFAULTS.dl_sinr_threshold
     load = mean_load(DEFAULTS, Policy.COUPLED, Link.DL, Tier.MACRO)
-    cov = dl_coverage(DEFAULTS, Policy.COUPLED, Tier.MACRO, gamma).probability
+    cov = dl_coverage(DEFAULTS, Policy.COUPLED, Tier.MACRO, gamma)
     expected = DEFAULTS.dl_bandwidth / load * spectral_efficiency(gamma) * cov
     assert dl_rate(DEFAULTS, Policy.COUPLED, Tier.MACRO, gamma) == pytest.approx(expected, rel=1e-12)
 
@@ -255,8 +256,19 @@ def test_average_decomposition_invariant():
 
 
 def test_extreme_threshold_gives_unbounded_latency():
-    # coverage underflows to zero at an absurd threshold: rate 0, time inf
+    # At 200 dB the coverage is tiny but positive (about 1e-11, matching
+    # scipy quadrature), so the latency stays finite (about 5.5e7 s).
     p = scenario(gamma_ul_db=200.0, gamma_dl_db=200.0)
+    assert math.isfinite(average_latency(p, Scheme.COUPLED_ACCESS))
+    for policy in Policy:
+        for tier in Tier:
+            cov = ul_coverage(p, policy, tier, p.ul_sinr_threshold)
+            assert math.isclose(cov, _oracle_coverage(p, "ul", policy, tier), rel_tol=1e-9)
+    # At 3000 dB with 100 dBm of noise the scaled-noise downlink exponent
+    # gamma * N / P_k * (1 + psi(gamma)) overflows to inf, so downlink coverage
+    # is exactly 0 in double precision: rate 0, time inf.
+    p = scenario(gamma_ul_db=3000.0, gamma_dl_db=3000.0, noise_dbm=100.0)
+    assert dl_coverage(p, Policy.COUPLED, Tier.MACRO, p.dl_sinr_threshold) == 0.0
     total = average_latency(p, Scheme.COUPLED_ACCESS)
     assert total == math.inf
     assert total > 1e300  # the unbounded value orders above every finite latency

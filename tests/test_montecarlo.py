@@ -127,11 +127,11 @@ def test_empirical_coverage_agrees_with_quadrature(policy, link, tier):
     trials = 30_000
     est = empirical_coverage(DEFAULTS, policy, link, tier, gamma, trials, seed=9)
     if link is Link.UL:
-        analytic = ul_coverage(DEFAULTS, policy, tier, gamma).probability
+        analytic = ul_coverage(DEFAULTS, policy, tier, gamma)
     else:
         analytic = dl_coverage(
             DEFAULTS, policy, tier, gamma, form=DlCoverageForm.INTERFERENCE
-        ).probability
+        )
     assert abs(est.mean - analytic) < max(4.0 * est.std_error, 0.01)
 
 

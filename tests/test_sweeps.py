@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hetmec.config import RAW_DEFAULTS, default_params, params_from_raw
+from hetmec.config import RAW_DEFAULTS, ConfigError, default_params, params_from_raw
 from hetmec.coverage import DlCoverageForm
 from hetmec.latency import Scheme
 from hetmec.sweeps import SweepSpec, figure_sweep_spec, resolve_point, run_sweep, sweep_csv
@@ -70,12 +70,6 @@ def test_fig2_csv_deterministic(fig2):
     assert columns.startswith("axis_value,backhaul_bps,scheme,ul_time_s,exec_time_s")
 
 
-def test_parallel_workers_preserve_row_order(fig2):
-    spec, rows = fig2
-    parallel = run_sweep(spec, workers=4)
-    assert parallel == rows
-
-
 def test_fig3_runs_to_ratio_100_and_gap_shrinks():
     # The user density is lifted to the total BS density on the dense end of
     # the grid, so every point is evaluable; the coupled/decoupled gap must
@@ -124,8 +118,10 @@ def test_custom_axis_backhaul_monotonicity():
 
 def test_invalid_grid_point_error_names_the_point():
     spec = SweepSpec(axis="lambda_u_per_km2", values=(25.0, 5.0))
-    with pytest.raises(Exception, match="lambda_u_per_km2=5.0"):
+    with pytest.raises(Exception, match="lambda_u_per_km2=5.0") as info:
         run_sweep(spec)
+    assert isinstance(info.value, ConfigError)
+    assert info.value.key == "lambda_u_per_km2"
 
 
 def test_auto_user_density_lifts_to_exactly_the_bs_density():
