@@ -27,19 +27,15 @@ print("\ndownlink coverage: noise-only shape vs interference shape")
 print(f"{'dB':>6} {'scaled_noise':>13} {'interference':>13}")
 for db in range(-20, 12, 4):
     gamma = 10 ** (db / 10)
-    scaled = dl_coverage(params, Policy.COUPLED, Tier.SMALL, gamma)
-    interf = dl_coverage(
-        params, Policy.COUPLED, Tier.SMALL, gamma, form=DlCoverageForm.INTERFERENCE
-    )
+    scaled = dl_coverage(params, Tier.SMALL, gamma)
+    interf = dl_coverage(params, Tier.SMALL, gamma, form=DlCoverageForm.INTERFERENCE)
     print(f"{db:6d} {scaled:13.4f} {interf:13.4f}")
 print("the interference shape equals 1 / (1 + psi) when noise is negligible,")
 print("and it is the exact analysis of what the Monte Carlo sampler simulates:")
 
 gamma = 0.1
 est = empirical_coverage(params, Policy.COUPLED, Link.DL, Tier.SMALL, gamma, 50_000, seed=3)
-analytic = dl_coverage(
-    params, Policy.COUPLED, Tier.SMALL, gamma, form=DlCoverageForm.INTERFERENCE
-)
+analytic = dl_coverage(params, Tier.SMALL, gamma, form=DlCoverageForm.INTERFERENCE)
 print(
     f"\n-10 dB downlink small: closed form {analytic:.4f}, "
     f"sampled {est.mean:.4f} +- {est.std_error:.4f} "

@@ -39,29 +39,22 @@ from .coverage import (
     ul_coverage,
 )
 from .latency import (
-    BackhaulDirection,
     LatencyBreakdown,
+    OperatingPoint,
     QueueUnstable,
     Scheme,
     average_breakdown,
-    average_latency,
     backhaul_time,
     case_latency,
-    dl_rate,
-    exec_time_coupled,
-    exec_time_decoupled_dl,
-    exec_time_decoupled_ul,
+    operating_point,
     service_rate,
     transmission_time,
-    ul_rate,
 )
 from .montecarlo import (
     McEstimate,
-    McRealization,
     empirical_association,
     empirical_coverage,
     empirical_mean_load,
-    sample_realization,
 )
 from .sweeps import SweepSpec, figure_sweep_spec, run_sweep, write_sweep_csv
 from .validate import ValidationReport, run_validation, write_validation_csv

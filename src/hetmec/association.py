@@ -139,17 +139,12 @@ def serving_distance_pdf(
     """
     x = np.asarray(x, dtype=float)
     lam_k = tier_params(params, tier).density
-    lam_j = tier_params(params, tier.other).density
     if lam_k == 0.0:
         return np.zeros_like(x) if x.ndim else 0.0
-    if policy is Policy.COUPLED:
-        p_k = tier_params(params, tier).tx_power
-        p_j = tier_params(params, tier.other).tx_power
-        slope = lam_k + lam_j * (p_j / p_k) ** (2.0 / params.pathloss_exponent)
-        norm = association_probability(params, Policy.COUPLED, Link.DL, tier)
-    else:
-        slope = lam_k + lam_j
-        norm = association_probability(params, Policy.DECOUPLED, Link.UL, tier)
+    slope = distance_pdf_slope(params, policy, tier)
+    # The PDF is that of the uplink serving BS, which coupled access also
+    # uses for the downlink.
+    norm = association_probability(params, policy, Link.UL, tier)
     pdf = (2.0 * math.pi * lam_k / norm) * x * np.exp(-slope * math.pi * x**2)
     return pdf if pdf.ndim else float(pdf)
 

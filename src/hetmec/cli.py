@@ -11,10 +11,17 @@ import argparse
 import sys
 
 from . import __version__
-from .association import Link, Policy, Tier, association_report
+from .association import Tier, association_report
 from .config import ConfigError, default_params, parse_config
-from .coverage import DlCoverageForm, dl_coverage, ul_coverage
-from .latency import QueueUnstable, Scheme, average_breakdown, case_latency, scheme_cases
+from .coverage import DlCoverageForm, dl_coverage
+from .latency import (
+    QueueUnstable,
+    Scheme,
+    average_breakdown,
+    case_latency,
+    operating_point,
+    scheme_cases,
+)
 from .svgplot import write_sweep_chart
 from .sweeps import (
     SweepSpec,
@@ -61,19 +68,17 @@ def cmd_analytic(args) -> int:
     for (policy, link, tier), value in sorted(report.load.items(), key=str):
         print(f"load.{policy.value}.{link.value}.{tier.value} = {value!r}")
 
-    tiers = [Tier.MACRO] if params.small.density == 0.0 else list(Tier)
-    for policy in Policy:
-        for tier in tiers:
-            cov = ul_coverage(params, policy, tier, params.ul_sinr_threshold)
-            print(f"coverage.ul.{policy.value}.{tier.value} = {cov!r}")
-    for tier in tiers:
+    point = operating_point(params, form)
+    for (policy, tier), cov in point.ul_coverage.items():
+        print(f"coverage.ul.{policy.value}.{tier.value} = {cov!r}")
+    for tier in point.tiers:
         for cov_form in DlCoverageForm:
-            cov = dl_coverage(params, Policy.COUPLED, tier, params.dl_sinr_threshold, form=cov_form)
+            cov = dl_coverage(params, tier, params.dl_sinr_threshold, form=cov_form)
             print(f"coverage.dl.{cov_form.value}.{tier.value} = {cov!r}")
 
     for scheme in Scheme:
         for ul_tier, dl_tier, weight in scheme_cases(params, scheme):
-            case = case_latency(params, scheme, ul_tier, dl_tier, form=form)
+            case = case_latency(point, scheme, ul_tier, dl_tier)
             stem = f"case.{scheme.value}.{ul_tier.value}_{dl_tier.value}"
             print(f"{stem}.weight = {weight!r}")
             print(f"{stem}.ul_time_s = {case.ul_time!r}")
@@ -81,7 +86,7 @@ def cmd_analytic(args) -> int:
             print(f"{stem}.backhaul_time_s = {case.backhaul_time!r}")
             print(f"{stem}.dl_time_s = {case.dl_time!r}")
             print(f"{stem}.total_s = {case.total!r}")
-        breakdown = average_breakdown(params, scheme, form=form)
+        breakdown = average_breakdown(point, scheme)
         print(f"average.{scheme.value}.total_s = {breakdown.total!r}")
     return EXIT_OK
 

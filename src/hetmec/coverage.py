@@ -127,7 +127,6 @@ def _ul_coverage_with_density(
 
 def dl_coverage(
     params: ScenarioParams,
-    policy: Policy,
     tier: Tier,
     gamma_dl: float,
     form: DlCoverageForm = DlCoverageForm.SCALED_NOISE,
@@ -137,13 +136,12 @@ def dl_coverage(
     The downlink is served by the max-power BS under both policies, so the
     serving-distance law (and hence the coverage) is policy-independent; the
     decoupled marginal normalizer coincides with the coupled association
-    probability.  `policy` is accepted for interface symmetry.
+    probability.
     """
     if gamma_dl <= 0.0:
         raise ValueError(f"gamma_dl must be positive, got {gamma_dl}")
     if tier_params(params, tier).density == 0.0:
         raise ValueError(f"tier {tier.value} has zero density; no downlink coverage defined")
-    del policy  # downlink association rule is max-power in both policies
     p_k = tier_params(params, tier).tx_power
     noise_coeff = gamma_dl * params.noise_power / p_k
     if form is DlCoverageForm.SCALED_NOISE:

@@ -9,6 +9,12 @@ a cloudlet, and downloads `output_bits`.  Three schemes are compared:
 * DECOUPLED_DL_PROC: execution at the downlink BS, with the input crossing
   the backhaul first.
 
+All three schemes read the same per-tier quantities: uplink coverage, load
+and rate per (policy, tier), downlink rate per (policy, tier), and the
+cloudlet arrival rates.  `operating_point` computes each of them once per
+scenario; `case_latency` and `average_breakdown` derive every case of every
+scheme from that one frozen `OperatingPoint`.
+
 Cloudlets are M/M/1 queues.  Because each BS time-shares its uplink
 bandwidth across its associated users, the aggregate bits/s entering a BS
 (and hence the request arrival rate) does not depend on the user density:
@@ -45,11 +51,6 @@ class Scheme(Enum):
     DECOUPLED_DL_PROC = "decoupled_dl_proc"
 
 
-class BackhaulDirection(Enum):
-    OUTPUT_FROM_UL = "output_from_ul"  # result bits move to the downlink BS
-    INPUT_TO_DL = "input_to_dl"        # input bits move to the downlink BS
-
-
 class QueueUnstable(RuntimeError):
     """Cloudlet arrival rate meets or exceeds its service rate."""
 
@@ -70,34 +71,92 @@ class LatencyBreakdown:
     backhaul_time: float
     dl_time: float
     total: float
-    # (ul_tier, dl_tier, scheme) for a single case; None for a scheme average.
-    case_id: tuple[Tier, Tier, Scheme] | None
+
+
+@dataclass(frozen=True)
+class OperatingPoint:
+    """The per-tier quantities all three schemes share, for one scenario.
+
+    Entries exist only for `tiers`, the tiers with positive density.  Rates
+    are bits/s per user.  Arrival rates are requests/s into a cloudlet:
+    `ul_arrival` at the uplink BS (which executes under coupled access and
+    DECOUPLED_UL_PROC), `dl_arrival` at the downlink BS (which executes under
+    DECOUPLED_DL_PROC).
+    """
+
+    params: ScenarioParams
+    tiers: tuple[Tier, ...]
+    ul_coverage: dict[tuple[Policy, Tier], float]
+    ul_load: dict[tuple[Policy, Tier], float]
+    ul_rate: dict[tuple[Policy, Tier], float]
+    dl_coverage: dict[Tier, float]
+    dl_rate: dict[tuple[Policy, Tier], float]
+    ul_arrival: dict[tuple[Policy, Tier], float]
+    dl_arrival: dict[Tier, float]
 
 
 def spectral_efficiency(gamma: float) -> float:
     return math.log2(1.0 + gamma)
 
 
-def ul_rate(params: ScenarioParams, policy: Policy, tier: Tier, gamma_ul: float) -> float:
-    """Mean uplink bits/s of one user on `tier` under `policy`.
+def operating_point(
+    params: ScenarioParams, form: DlCoverageForm = DlCoverageForm.SCALED_NOISE
+) -> OperatingPoint:
+    """Coverages, loads, rates and cloudlet arrival rates of one scenario.
 
-    Bandwidth shared across the tier's uplink load, discounted by coverage.
+    A user's rate is the link bandwidth shared across its tier's load,
+    discounted by coverage.  The downlink is max-power under both policies,
+    so one DL coverage per tier serves both; the DL load still depends on
+    the policy.  A downlink-executing macro cloudlet receives its own uplink
+    users' requests plus the split-association users' requests forwarded
+    over the backhaul; a downlink-executing small cloudlet receives only the
+    requests of users that kept both links on it.
     """
-    load = mean_load(params, policy, Link.UL, tier)
-    cov = ul_coverage(params, policy, tier, gamma_ul)
-    return params.ul_bandwidth / load * spectral_efficiency(gamma_ul) * cov
+    gamma_ul = params.ul_sinr_threshold
+    gamma_dl = params.dl_sinr_threshold
+    tiers = tuple(tier for tier in Tier if tier_params(params, tier).density > 0.0)
+    keys = [(policy, tier) for policy in Policy for tier in tiers]
 
+    ul_cov = {key: ul_coverage(params, *key, gamma_ul) for key in keys}
+    ul_load = {key: mean_load(params, key[0], Link.UL, key[1]) for key in keys}
+    ul_rate = {
+        key: params.ul_bandwidth / ul_load[key] * spectral_efficiency(gamma_ul) * ul_cov[key]
+        for key in keys
+    }
+    dl_cov = {tier: dl_coverage(params, tier, gamma_dl, form=form) for tier in tiers}
+    dl_rate = {
+        key: params.dl_bandwidth
+        / mean_load(params, key[0], Link.DL, key[1])
+        * spectral_efficiency(gamma_dl)
+        * dl_cov[key[1]]
+        for key in keys
+    }
+    ul_arrival = {key: ul_rate[key] * ul_load[key] / params.input_bits for key in keys}
 
-def dl_rate(
-    params: ScenarioParams,
-    policy: Policy,
-    tier: Tier,
-    gamma_dl: float,
-    form: DlCoverageForm = DlCoverageForm.SCALED_NOISE,
-) -> float:
-    load = mean_load(params, policy, Link.DL, tier)
-    cov = dl_coverage(params, policy, tier, gamma_dl, form=form)
-    return params.dl_bandwidth / load * spectral_efficiency(gamma_dl) * cov
+    a_ss, _, a_sm, _ = decoupled_probs(params)
+    macro = (Policy.DECOUPLED, Tier.MACRO)
+    own = ul_rate[macro] * ul_load[macro]
+    if Tier.SMALL not in tiers:
+        dl_arrival = {Tier.MACRO: own / params.input_bits}
+    else:
+        users_per_small = params.user_density / params.small.density
+        rate_s = ul_rate[Policy.DECOUPLED, Tier.SMALL]
+        dl_arrival = {
+            Tier.MACRO: (own + rate_s * users_per_small * a_sm) / params.input_bits,
+            Tier.SMALL: rate_s * users_per_small * a_ss / params.input_bits,
+        }
+
+    return OperatingPoint(
+        params=params,
+        tiers=tiers,
+        ul_coverage=ul_cov,
+        ul_load=ul_load,
+        ul_rate=ul_rate,
+        dl_coverage=dl_cov,
+        dl_rate=dl_rate,
+        ul_arrival=ul_arrival,
+        dl_arrival=dl_arrival,
+    )
 
 
 def transmission_time(bits: float, rate: float) -> float:
@@ -121,127 +180,70 @@ def _mm1_delay(tier: Tier, mu: float, tau: float) -> float:
     return 1.0 / (mu - tau)
 
 
-def _arrival_rate(rate_bits: float, users: float, input_bits: float) -> float:
-    # Aggregate uplink bits/s into the BS, expressed as requests/s.
-    return rate_bits * users / input_bits
+def backhaul_time(params: ScenarioParams, scheme: Scheme, crossed: bool) -> float:
+    """Backhaul transfer time of one request under `scheme`.
 
-
-def exec_time_coupled(params: ScenarioParams, tier: Tier, gamma_ul: float) -> float:
-    """M/M/1 sojourn time at the coupled-access serving BS."""
-    rate = ul_rate(params, Policy.COUPLED, tier, gamma_ul)
-    load = mean_load(params, Policy.COUPLED, Link.UL, tier)
-    tau = _arrival_rate(rate, load, params.input_bits)
-    return _mm1_delay(tier, service_rate(params, tier), tau)
-
-
-def exec_time_decoupled_ul(params: ScenarioParams, ul_tier: Tier, gamma_ul: float) -> float:
-    """Sojourn time when the uplink BS executes; same shape as the coupled
-    expression, driven by the uplink marginal load."""
-    rate = ul_rate(params, Policy.DECOUPLED, ul_tier, gamma_ul)
-    load = mean_load(params, Policy.DECOUPLED, Link.UL, ul_tier)
-    tau = _arrival_rate(rate, load, params.input_bits)
-    return _mm1_delay(ul_tier, service_rate(params, ul_tier), tau)
-
-
-def decoupled_dl_arrival_rate(params: ScenarioParams, dl_tier: Tier, gamma_ul: float) -> float:
-    """Request arrival rate at a downlink-executing cloudlet.
-
-    A macro cloudlet receives its own uplink users' requests plus the
-    split-association users' requests forwarded over the backhaul; a
-    small-cell cloudlet receives only the requests of users that kept both
-    links on it.
+    DECOUPLED_DL_PROC moves the input to the downlink BS and
+    DECOUPLED_UL_PROC moves the output there; coupled access never uses the
+    backhaul, and same-BS cases skip it in CROSS_TIER_ONLY mode.
     """
-    a_ss, _, a_sm, _ = decoupled_probs(params)
-    lam_u = params.user_density
-    lam_s = params.small.density
-    rate_s = ul_rate(params, Policy.DECOUPLED, Tier.SMALL, gamma_ul) if lam_s > 0.0 else 0.0
-    if dl_tier is Tier.MACRO:
-        rate_m = ul_rate(params, Policy.DECOUPLED, Tier.MACRO, gamma_ul)
-        own = rate_m * mean_load(params, Policy.DECOUPLED, Link.UL, Tier.MACRO)
-        forwarded = rate_s * (lam_u / lam_s) * a_sm if lam_s > 0.0 else 0.0
-        return (own + forwarded) / params.input_bits
-    kept = rate_s * (lam_u / lam_s) * a_ss if lam_s > 0.0 else 0.0
-    return kept / params.input_bits
-
-
-def exec_time_decoupled_dl(params: ScenarioParams, dl_tier: Tier, gamma_ul: float) -> float:
-    tau = decoupled_dl_arrival_rate(params, dl_tier, gamma_ul)
-    return _mm1_delay(dl_tier, service_rate(params, dl_tier), tau)
-
-
-def backhaul_time(
-    params: ScenarioParams, direction: BackhaulDirection, crossed: bool
-) -> float:
-    """Backhaul transfer time, zero for same-BS cases in CROSS_TIER_ONLY mode."""
-    if not crossed and params.backhaul_mode is BackhaulMode.CROSS_TIER_ONLY:
+    if scheme is Scheme.COUPLED_ACCESS or (
+        not crossed and params.backhaul_mode is BackhaulMode.CROSS_TIER_ONLY
+    ):
         return 0.0
-    bits = params.output_bits if direction is BackhaulDirection.OUTPUT_FROM_UL else params.input_bits
+    bits = params.input_bits if scheme is Scheme.DECOUPLED_DL_PROC else params.output_bits
     return bits / params.backhaul_capacity
 
 
 def case_latency(
-    params: ScenarioParams,
+    point: OperatingPoint,
     scheme: Scheme,
     ul_tier: Tier,
     dl_tier: Tier,
-    form: DlCoverageForm = DlCoverageForm.SCALED_NOISE,
     unstable_as_inf: bool = False,
 ) -> LatencyBreakdown:
     """Latency breakdown for one (uplink tier, downlink tier) association case.
 
-    Thresholds come from the scenario.  Coupled access requires equal tiers
-    and never touches the backhaul.  The (macro uplink, small downlink)
+    Coupled access requires equal tiers.  The (macro uplink, small downlink)
     decoupled case has probability zero and is rejected rather than given a
     meaningless value.  With unstable_as_inf, queue instability renders the
     execution time unbounded instead of raising, which is what grid sweeps
     want.
     """
-    gamma_ul = params.ul_sinr_threshold
-    gamma_dl = params.dl_sinr_threshold
-
-    def run_exec(fn, tier: Tier) -> float:
-        if not unstable_as_inf:
-            return fn(params, tier, gamma_ul)
-        try:
-            return fn(params, tier, gamma_ul)
-        except QueueUnstable:
-            return math.inf
-
+    params = point.params
     if scheme is Scheme.COUPLED_ACCESS:
         if ul_tier is not dl_tier:
             raise ValueError("coupled access uses one BS for both links")
-        ul_t = transmission_time(params.input_bits, ul_rate(params, Policy.COUPLED, ul_tier, gamma_ul))
-        exec_t = run_exec(exec_time_coupled, ul_tier)
-        bh_t = 0.0
-        dl_t = transmission_time(
-            params.output_bits, dl_rate(params, Policy.COUPLED, dl_tier, gamma_dl, form=form)
-        )
+        policy = Policy.COUPLED
     else:
         if ul_tier is Tier.MACRO and dl_tier is Tier.SMALL:
             raise ValueError(
                 "the (macro uplink, small downlink) case has probability zero; "
                 "no latency is defined for it"
             )
-        crossed = ul_tier is not dl_tier
-        ul_t = transmission_time(
-            params.input_bits, ul_rate(params, Policy.DECOUPLED, ul_tier, gamma_ul)
-        )
-        dl_t = transmission_time(
-            params.output_bits, dl_rate(params, Policy.DECOUPLED, dl_tier, gamma_dl, form=form)
-        )
-        if scheme is Scheme.DECOUPLED_UL_PROC:
-            exec_t = run_exec(exec_time_decoupled_ul, ul_tier)
-            bh_t = backhaul_time(params, BackhaulDirection.OUTPUT_FROM_UL, crossed)
-        else:
-            exec_t = run_exec(exec_time_decoupled_dl, dl_tier)
-            bh_t = backhaul_time(params, BackhaulDirection.INPUT_TO_DL, crossed)
+        policy = Policy.DECOUPLED
+    if Tier.SMALL not in point.tiers and Tier.SMALL in (ul_tier, dl_tier):
+        raise ValueError("tier small has zero density; no latency is defined for it")
+
+    ul_t = transmission_time(params.input_bits, point.ul_rate[policy, ul_tier])
+    dl_t = transmission_time(params.output_bits, point.dl_rate[policy, dl_tier])
+    if scheme is Scheme.DECOUPLED_DL_PROC:
+        exec_tier, tau = dl_tier, point.dl_arrival[dl_tier]
+    else:
+        exec_tier, tau = ul_tier, point.ul_arrival[policy, ul_tier]
+    try:
+        exec_t = _mm1_delay(exec_tier, service_rate(params, exec_tier), tau)
+    except QueueUnstable:
+        if not unstable_as_inf:
+            raise
+        exec_t = math.inf
+    bh_t = backhaul_time(params, scheme, ul_tier is not dl_tier)
     return LatencyBreakdown(
         ul_time=ul_t,
         exec_time=exec_t,
         backhaul_time=bh_t,
         dl_time=dl_t,
         total=ul_t + exec_t + bh_t + dl_t,
-        case_id=(ul_tier, dl_tier, scheme),
     )
 
 
@@ -261,10 +263,7 @@ def scheme_cases(params: ScenarioParams, scheme: Scheme) -> list[tuple[Tier, Tie
 
 
 def average_breakdown(
-    params: ScenarioParams,
-    scheme: Scheme,
-    form: DlCoverageForm = DlCoverageForm.SCALED_NOISE,
-    unstable_as_inf: bool = False,
+    point: OperatingPoint, scheme: Scheme, unstable_as_inf: bool = False
 ) -> LatencyBreakdown:
     """Probability-weighted component averages over the scheme's cases.
 
@@ -273,13 +272,11 @@ def average_breakdown(
     affected component (and the total) unbounded.
     """
     ul = exec_ = bh = dl = 0.0
-    cases = scheme_cases(params, scheme)
+    cases = scheme_cases(point.params, scheme)
     if not cases:
         raise ValueError("no association case has positive probability")
     for ul_tier, dl_tier, weight in cases:
-        case = case_latency(
-            params, scheme, ul_tier, dl_tier, form=form, unstable_as_inf=unstable_as_inf
-        )
+        case = case_latency(point, scheme, ul_tier, dl_tier, unstable_as_inf=unstable_as_inf)
         ul += weight * case.ul_time
         exec_ += weight * case.exec_time
         bh += weight * case.backhaul_time
@@ -290,14 +287,4 @@ def average_breakdown(
         backhaul_time=bh,
         dl_time=dl,
         total=ul + exec_ + bh + dl,
-        case_id=None,
     )
-
-
-def average_latency(
-    params: ScenarioParams,
-    scheme: Scheme,
-    form: DlCoverageForm = DlCoverageForm.SCALED_NOISE,
-) -> float:
-    """Mean offloading latency of the scheme, in seconds (may be inf)."""
-    return average_breakdown(params, scheme, form=form).total

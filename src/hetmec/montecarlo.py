@@ -27,13 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .association import Link, Policy, Tier, tier_params
 from .config import ScenarioParams
 
 # Operation tags for seed derivation.
-_TAG_REALIZATION = 1
 _TAG_ASSOCIATION = 2
 _TAG_COVERAGE = 3
 _TAG_LOAD = 4
@@ -59,17 +57,6 @@ class McEstimate:
 
 
 @dataclass(frozen=True)
-class McRealization:
-    """One sampled deployment: BS and user coordinates in meters."""
-
-    macro_points: np.ndarray
-    small_points: np.ndarray
-    user_points: np.ndarray
-    window_radius: float
-    seed: int
-
-
-@dataclass(frozen=True)
 class AssociationFrequencies:
     estimates: dict[str, McEstimate]
     resampled: int
@@ -81,30 +68,6 @@ def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     ends = np.cumsum(counts)
     starts = ends - counts
     return cumulative[ends] - cumulative[starts]
-
-
-def _disc_points(rng: np.random.Generator, density: float, radius: float) -> np.ndarray:
-    """Sample one PPP restricted to a disc around the origin."""
-    count = rng.poisson(density * math.pi * radius * radius)
-    r = radius * np.sqrt(rng.random(count))
-    theta = 2.0 * math.pi * rng.random(count)
-    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-
-
-def sample_realization(
-    params: ScenarioParams, window_radius: float = 20_000.0, seed: int = 0
-) -> McRealization:
-    """Sample one deployment of both BS tiers and the users on a disc."""
-    if window_radius <= 0.0:
-        raise ValueError(f"window_radius must be positive, got {window_radius}")
-    rng = _rng(seed, _TAG_REALIZATION)
-    return McRealization(
-        macro_points=_disc_points(rng, params.macro.density, window_radius),
-        small_points=_disc_points(rng, params.small.density, window_radius),
-        user_points=_disc_points(rng, params.user_density, window_radius),
-        window_radius=window_radius,
-        seed=seed,
-    )
 
 
 def _nearest_distances(
@@ -357,6 +320,10 @@ def _mean_loads_by_rule(
     by in-region BSs to the in-region BS count (unbiased for the typical
     cell; the BS nearest the origin would be size-biased).
     """
+    # Imported here: scipy.spatial costs every `import hetmec` about 0.13 s
+    # and only this sampler needs it.
+    from scipy.spatial import cKDTree
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     geo = _load_regions(params, window_scale)

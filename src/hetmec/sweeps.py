@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .config import ScenarioParams, params_from_raw, raw_from_params, RAW_DEFAULTS
 from .coverage import DlCoverageForm
-from .latency import Scheme, average_breakdown
+from .latency import Scheme, average_breakdown, operating_point
 
 ALL_SCHEMES = (Scheme.COUPLED_ACCESS, Scheme.DECOUPLED_UL_PROC, Scheme.DECOUPLED_DL_PROC)
 
@@ -161,10 +161,10 @@ def _evaluate_point(
 ) -> list[SweepRow]:
     try:
         raw = resolve_point_raw(spec, base_raw, value, variant)
-        point = params_from_raw(raw)
+        params = params_from_raw(raw)
+        point = operating_point(params, form)
         breakdowns = [
-            average_breakdown(point, scheme, form=form, unstable_as_inf=True)
-            for scheme in spec.schemes
+            average_breakdown(point, scheme, unstable_as_inf=True) for scheme in spec.schemes
         ]
     except Exception as exc:
         # Name the grid point in the message in place, so the exception keeps
@@ -177,7 +177,7 @@ def _evaluate_point(
         rows.append(
             SweepRow(
                 axis_value=value,
-                backhaul_bps=point.backhaul_capacity,
+                backhaul_bps=params.backhaul_capacity,
                 scheme=scheme,
                 ul_time=breakdown.ul_time,
                 exec_time=breakdown.exec_time,

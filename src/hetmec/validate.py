@@ -139,10 +139,10 @@ def run_validation(
                     analytic = cov_mod.ul_coverage(params, policy, tier, gamma)
                 else:
                     analytic = cov_mod.dl_coverage(
-                        params, policy, tier, gamma, form=DlCoverageForm.INTERFERENCE
+                        params, tier, gamma, form=DlCoverageForm.INTERFERENCE
                     )
                     scaled = cov_mod.dl_coverage(
-                        params, policy, tier, gamma, form=DlCoverageForm.SCALED_NOISE
+                        params, tier, gamma, form=DlCoverageForm.SCALED_NOISE
                     )
                     notes.append(
                         f"scaled_noise dl coverage {policy.value}/{tier.value}: {scaled:.6f}"

@@ -57,12 +57,9 @@ from hetmec.coverage import (
 from hetmec.latency import (
     QueueUnstable,
     Scheme,
-    average_latency,
-    decoupled_dl_arrival_rate,
-    exec_time_coupled,
-    exec_time_decoupled_dl,
-    exec_time_decoupled_ul,
-    ul_rate,
+    average_breakdown,
+    case_latency,
+    operating_point,
 )
 from hetmec.montecarlo import empirical_coverage
 from hetmec.validate import run_validation
@@ -84,7 +81,13 @@ def reduction(base: float, improved: float) -> float:
 
 
 def all_scheme_averages(params, form):
-    return {scheme: average_latency(params, scheme, form=form) for scheme in Scheme}
+    point = operating_point(params, form)
+    return {scheme: average_breakdown(point, scheme).total for scheme in Scheme}
+
+
+def small_cell_exec_time(params, scheme):
+    """Execution time on the small-cell cloudlet: the (small, small) case."""
+    return case_latency(operating_point(params), scheme, Tier.SMALL, Tier.SMALL).exec_time
 
 
 def test_criterion_1_association_closed_forms_and_validation():
@@ -148,9 +151,7 @@ def test_criterion_3_coverage_against_monte_carlo(gamma_db):
                 if link is Link.UL:
                     analytic = ul_coverage(DEFAULTS, policy, tier, gamma)
                 else:
-                    analytic = dl_coverage(
-                        DEFAULTS, policy, tier, gamma, form=DlCoverageForm.INTERFERENCE
-                    )
+                    analytic = dl_coverage(DEFAULTS, tier, gamma, form=DlCoverageForm.INTERFERENCE)
                 est = empirical_coverage(DEFAULTS, policy, link, tier, gamma, trials, seed=seed)
                 delta = abs(est.mean - analytic)
                 worst = max(worst, delta)
@@ -380,19 +381,23 @@ def test_criterion_6_capacity_ratio_claims():
     # The uplink-cloudlet queue carries the full small-cell uplink load while
     # the downlink-cloudlet small queue keeps only the both-links users, so
     # shrinking the small cloudlet hurts uplink processing first.
-    gamma = 0.1
+    reference = scenario(gamma_ul_db=-10.0)
+    reference_point = operating_point(reference)
     arrival_ul = (
-        ul_rate(DEFAULTS, Policy.DECOUPLED, Tier.SMALL, gamma)
-        * mean_load(DEFAULTS, Policy.DECOUPLED, Link.UL, Tier.SMALL)
-        / DEFAULTS.input_bits
+        reference_point.ul_rate[Policy.DECOUPLED, Tier.SMALL]
+        * mean_load(reference, Policy.DECOUPLED, Link.UL, Tier.SMALL)
+        / reference.input_bits
     )
-    arrival_dl = decoupled_dl_arrival_rate(DEFAULTS, Tier.SMALL, gamma)
+    arrival_dl = reference_point.dl_arrival[Tier.SMALL]
     assert arrival_ul > arrival_dl
 
     growth = {}
-    for label, exec_fn in (("ul_proc", exec_time_decoupled_ul), ("dl_proc", exec_time_decoupled_dl)):
-        t_hi = exec_fn(scenario(f_s_hz=0.30 * 4.5e9, **base), Tier.SMALL, gamma)
-        t_lo = exec_fn(scenario(f_s_hz=0.15 * 4.5e9, **base), Tier.SMALL, gamma)
+    for label, scheme in (
+        ("ul_proc", Scheme.DECOUPLED_UL_PROC),
+        ("dl_proc", Scheme.DECOUPLED_DL_PROC),
+    ):
+        t_hi = small_cell_exec_time(scenario(f_s_hz=0.30 * 4.5e9, **base), scheme)
+        t_lo = small_cell_exec_time(scenario(f_s_hz=0.15 * 4.5e9, **base), scheme)
         growth[label] = t_lo / t_hi
     print(
         f"ACCEPTANCE 6: small-cell exec growth when F_s halves: "
@@ -400,15 +405,15 @@ def test_criterion_6_capacity_ratio_claims():
     )
     assert growth["ul_proc"] > growth["dl_proc"]
 
-    def first_unstable(exec_fn):
+    def first_unstable(scheme):
         for i, ratio in enumerate(r / 100.0 for r in range(30, 2, -1)):
             try:
-                exec_fn(scenario(f_s_hz=ratio * 4.5e9, **base), Tier.SMALL, gamma)
+                small_cell_exec_time(scenario(f_s_hz=ratio * 4.5e9, **base), scheme)
             except QueueUnstable:
                 return i
         return None
 
-    assert first_unstable(exec_time_decoupled_ul) < first_unstable(exec_time_decoupled_dl)
+    assert first_unstable(Scheme.DECOUPLED_UL_PROC) < first_unstable(Scheme.DECOUPLED_DL_PROC)
 
 
 def test_criterion_7_bits_ratio_claims():
@@ -447,26 +452,25 @@ def test_criterion_8_stability_frontier_consistency():
     # cancel against user counts), so a user-density sweep never fires and
     # both expressions must report the same empty frontier; widening the
     # radio bandwidth genuinely fires, and both must fire in the same step.
-    gamma = 0.1
-    equal_power = {"p_m_dbm": 30.0, "p_s_dbm": 30.0}
+    equal_power = {"p_m_dbm": 30.0, "p_s_dbm": 30.0, "gamma_ul_db": -10.0}
 
-    def frontier(exec_fn, axis, values):
+    def frontier(scheme, axis, values):
         for i, value in enumerate(values):
             params = scenario(**{axis: value}, **equal_power)
             try:
-                exec_fn(params, Tier.SMALL, gamma)
+                small_cell_exec_time(params, scheme)
             except QueueUnstable:
                 return i
         return None
 
     user_grid = [25.0 * 2**k for k in range(9)]
-    f_coupled_u = frontier(exec_time_coupled, "lambda_u_per_km2", user_grid)
-    f_decoupled_u = frontier(exec_time_decoupled_ul, "lambda_u_per_km2", user_grid)
+    f_coupled_u = frontier(Scheme.COUPLED_ACCESS, "lambda_u_per_km2", user_grid)
+    f_decoupled_u = frontier(Scheme.DECOUPLED_UL_PROC, "lambda_u_per_km2", user_grid)
     assert f_coupled_u == f_decoupled_u is None  # flat arrivals: never fires
 
     bandwidth_grid = [1.4e6 * k for k in range(1, 41)]
-    f_coupled_w = frontier(exec_time_coupled, "w_ul_hz", bandwidth_grid)
-    f_decoupled_w = frontier(exec_time_decoupled_ul, "w_ul_hz", bandwidth_grid)
+    f_coupled_w = frontier(Scheme.COUPLED_ACCESS, "w_ul_hz", bandwidth_grid)
+    f_decoupled_w = frontier(Scheme.DECOUPLED_UL_PROC, "w_ul_hz", bandwidth_grid)
     print(
         f"ACCEPTANCE 8: user-density frontier empty for both expressions over "
         f"{user_grid[0]:g}..{user_grid[-1]:g} per km2; bandwidth frontier fires at "

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hetmec.association import Policy, Tier, distance_pdf_slope, serving_distance_pdf, tier_params
+from hetmec.association import (
+    Policy,
+    Tier,
+    coupled_probs,
+    decoupled_probs,
+    distance_pdf_slope,
+    marginals,
+    serving_distance_pdf,
+    tier_params,
+)
 from hetmec.config import params_from_raw
 from hetmec.coverage import (
     DlCoverageForm,
@@ -16,6 +25,7 @@ from hetmec.coverage import (
     ul_coverage,
     ul_coverage_interference_limited,
 )
+from hetmec.latency import operating_point
 
 DEFAULTS = params_from_raw({})
 GAMMA_GRID_DB = np.linspace(-20.0, 10.0, 20)
@@ -53,7 +63,7 @@ def test_ul_coverage_tends_to_one_at_tiny_threshold(policy, tier):
 @pytest.mark.parametrize("form", list(DlCoverageForm))
 @pytest.mark.parametrize("tier", list(Tier))
 def test_dl_coverage_tends_to_one_at_tiny_threshold(tier, form):
-    cov = dl_coverage(DEFAULTS, Policy.COUPLED, tier, 1e-12, form=form)
+    cov = dl_coverage(DEFAULTS, tier, 1e-12, form=form)
     assert cov == pytest.approx(1.0, abs=1e-6)
 
 
@@ -71,7 +81,7 @@ def test_ul_coverage_monotone_in_threshold(policy, tier):
 @pytest.mark.parametrize("form", list(DlCoverageForm))
 def test_dl_coverage_monotone_in_threshold(form):
     values = [
-        dl_coverage(DEFAULTS, Policy.COUPLED, Tier.MACRO, 10 ** (db / 10.0), form=form)
+        dl_coverage(DEFAULTS, Tier.MACRO, 10 ** (db / 10.0), form=form)
         for db in GAMMA_GRID_DB
     ]
     assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
@@ -94,7 +104,7 @@ def test_dl_interference_form_closed_form():
     gamma = 0.1
     quiet = params_from_raw({"noise_dbm": -300.0})
     for tier in Tier:
-        cov = dl_coverage(quiet, Policy.COUPLED, tier, gamma, form=DlCoverageForm.INTERFERENCE)
+        cov = dl_coverage(quiet, tier, gamma, form=DlCoverageForm.INTERFERENCE)
         assert cov == pytest.approx(
             dl_coverage_interference_limited(quiet, gamma), abs=1e-8
         )
@@ -105,11 +115,15 @@ def test_dl_interference_form_closed_form():
 @pytest.mark.parametrize("tier", list(Tier))
 def test_dl_coverage_policy_independent(tier, form):
     # The decoupled downlink marginal normalizer coincides with the coupled
-    # association probability, so both policies yield one value.
-    gamma = 0.1
-    coupled = dl_coverage(DEFAULTS, Policy.COUPLED, tier, gamma, form=form)
-    decoupled = dl_coverage(DEFAULTS, Policy.DECOUPLED, tier, gamma, form=form)
-    assert coupled == pytest.approx(decoupled, abs=1e-10)
+    # association probability, so one coverage value (and, with equal DL
+    # loads, one DL rate) serves both policies.
+    _, a_dl = marginals(decoupled_probs(DEFAULTS))
+    a_ss, a_mm = coupled_probs(DEFAULTS)
+    assert a_dl[tier] == pytest.approx(a_ss if tier is Tier.SMALL else a_mm, abs=1e-10)
+    point = operating_point(params_from_raw({"gamma_dl_db": -10.0}), form)
+    assert point.dl_rate[Policy.COUPLED, tier] == pytest.approx(
+        point.dl_rate[Policy.DECOUPLED, tier], rel=1e-10
+    )
 
 
 ORACLE_SCENARIOS = [
@@ -168,7 +182,7 @@ def test_closed_form_matches_quadrature_oracle(raw, form, policy, tier):
     if form == "ul":
         got = ul_coverage(params, policy, tier, params.ul_sinr_threshold)
     else:
-        got = dl_coverage(params, policy, tier, params.dl_sinr_threshold, form=form)
+        got = dl_coverage(params, tier, params.dl_sinr_threshold, form=form)
     want = _oracle_coverage(params, form, policy, tier)
     assert want > 0.0
     assert math.isclose(got, want, rel_tol=1e-9), (got, want)
@@ -190,4 +204,4 @@ def test_rejects_nonpositive_threshold_and_empty_tier():
     with pytest.raises(ValueError):
         ul_coverage(empty, Policy.COUPLED, Tier.SMALL, 0.1)
     with pytest.raises(ValueError):
-        dl_coverage(empty, Policy.COUPLED, Tier.SMALL, 0.1)
+        dl_coverage(empty, Tier.SMALL, 0.1)

@@ -7,54 +7,23 @@ from hetmec.association import Link, Policy, Tier, coupled_probs, decoupled_prob
 from hetmec.config import params_from_raw
 from hetmec.coverage import DlCoverageForm, dl_coverage, ul_coverage
 from hetmec.montecarlo import (
-    _disc_points,
+    _nearest_distances,
     _rng,
     empirical_association,
     empirical_coverage,
     empirical_mean_load,
-    sample_realization,
 )
 
 DEFAULTS = params_from_raw({})
 
 
-def test_sample_realization_is_deterministic():
-    a = sample_realization(DEFAULTS, window_radius=5000.0, seed=99)
-    b = sample_realization(DEFAULTS, window_radius=5000.0, seed=99)
-    np.testing.assert_array_equal(a.macro_points, b.macro_points)
-    np.testing.assert_array_equal(a.small_points, b.small_points)
-    np.testing.assert_array_equal(a.user_points, b.user_points)
-    c = sample_realization(DEFAULTS, window_radius=5000.0, seed=100)
-    assert c.user_points.shape != a.user_points.shape or not np.array_equal(
-        c.user_points, a.user_points
-    )
-
-
-def test_sample_realization_points_inside_window():
-    real = sample_realization(DEFAULTS, window_radius=3000.0, seed=5)
-    for pts in (real.macro_points, real.small_points, real.user_points):
-        assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= 3000.0)
-
-
-def test_sample_realization_counts_poisson_consistent():
-    # mean macro count at the reference window is lam * pi * R^2 = 1256.6
-    radius = 20_000.0
-    expected = DEFAULTS.macro.density * math.pi * radius**2
-    assert expected == pytest.approx(1256.6, abs=0.1)
-    counts = [
-        sample_realization(DEFAULTS, window_radius=radius, seed=s).macro_points.shape[0]
-        for s in range(300)
-    ]
-    mean = float(np.mean(counts))
-    # CLT band at 4 sigma for the mean of 300 Poisson draws
-    assert abs(mean - expected) < 4.0 * math.sqrt(expected / len(counts))
-    variance = float(np.var(counts, ddof=1))
-    assert variance == pytest.approx(expected, rel=0.35)
-
-
 def test_zero_density_process_is_empty():
-    pts = _disc_points(_rng(0, 42), 0.0, 1000.0)
-    assert pts.shape == (0, 2)
+    # No point of an empty process is nearest: every distance is infinite and
+    # no draw needs resampling.
+    distances, resampled = _nearest_distances(_rng(0, 42), 0.0, 1000, 1.0)
+    assert distances.shape == (1000,)
+    assert np.all(np.isinf(distances))
+    assert resampled == 0
 
 
 def test_empirical_association_matches_closed_forms():
@@ -129,9 +98,7 @@ def test_empirical_coverage_agrees_with_quadrature(policy, link, tier):
     if link is Link.UL:
         analytic = ul_coverage(DEFAULTS, policy, tier, gamma)
     else:
-        analytic = dl_coverage(
-            DEFAULTS, policy, tier, gamma, form=DlCoverageForm.INTERFERENCE
-        )
+        analytic = dl_coverage(DEFAULTS, tier, gamma, form=DlCoverageForm.INTERFERENCE)
     assert abs(est.mean - analytic) < max(4.0 * est.std_error, 0.01)
 
 

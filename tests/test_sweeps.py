@@ -1,7 +1,10 @@
 import math
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from hetmec import latency
 from hetmec.config import RAW_DEFAULTS, ConfigError, default_params, params_from_raw
 from hetmec.coverage import DlCoverageForm
 from hetmec.latency import Scheme
@@ -68,6 +71,36 @@ def test_fig2_csv_deterministic(fig2):
     assert any("backhaul_mode" in l for l in header)
     columns = next(l for l in text_a.splitlines() if not l.startswith("#"))
     assert columns.startswith("axis_value,backhaul_bps,scheme,ul_time_s,exec_time_s")
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "demos" / "output"
+
+
+@pytest.mark.parametrize("figure", [2, 3, 4, 5])
+def test_figure_csv_matches_committed_golden(figure):
+    spec = figure_sweep_spec(figure)
+    golden = (GOLDEN_DIR / f"fig{figure}.csv").read_text(encoding="utf-8")
+    assert sweep_csv(spec, run_sweep(spec)) == golden
+
+
+def test_each_grid_point_evaluates_six_coverages(monkeypatch):
+    # 4 uplink coverages ({coupled, decoupled} x {macro, small}) and one
+    # downlink coverage per tier feed all three schemes of a grid point.
+    calls = Counter()
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(latency, "ul_coverage", counted("ul", latency.ul_coverage))
+    monkeypatch.setattr(latency, "dl_coverage", counted("dl", latency.dl_coverage))
+    spec = figure_sweep_spec(2)
+    run_sweep(spec)
+    points = len(spec.values) * len(spec.variants)
+    assert calls == {"ul": 4 * points, "dl": 2 * points}
 
 
 def test_fig3_runs_to_ratio_100_and_gap_shrinks():
