@@ -2,7 +2,7 @@
 
 Runs the full analytic-vs-empirical comparison table (association
 probabilities, per-cell loads, coverage probabilities) and writes the
-machine-readable CSV next to this script.  Expect a few tens of seconds.
+machine-readable CSV next to this script.  Expect a few seconds.
 """
 import pathlib
 

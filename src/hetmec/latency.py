@@ -139,11 +139,14 @@ def operating_point(
     if Tier.SMALL not in tiers:
         dl_arrival = {Tier.MACRO: own / params.input_bits}
     else:
-        users_per_small = params.user_density / params.small.density
+        # Users per small cell in each case, counted as mean_load counts them
+        # so that a vanishing small-cell density cannot overflow.
+        split_users = params.user_density * a_sm / params.small.density
+        kept_users = params.user_density * a_ss / params.small.density
         rate_s = ul_rate[Policy.DECOUPLED, Tier.SMALL]
         dl_arrival = {
-            Tier.MACRO: (own + rate_s * users_per_small * a_sm) / params.input_bits,
-            Tier.SMALL: rate_s * users_per_small * a_ss / params.input_bits,
+            Tier.MACRO: (own + rate_s * split_users) / params.input_bits,
+            Tier.SMALL: rate_s * kept_users / params.input_bits,
         }
 
     return OperatingPoint(

@@ -1,8 +1,11 @@
 """Analytic-versus-empirical comparison harness.
 
 Every closed-form association quantity and every closed-form coverage value
-is compared against its Monte Carlo counterpart.  Probabilities are judged
-by the z-score of the binomial estimate; coverage additionally by an
+is compared against its Monte Carlo counterpart.  Every row is judged by the
+z-score of its estimate: association frequencies carry the binomial
+standard error, per-cell loads and coverage the sample standard error of
+their per-trial values (coverage averages a conditional success
+probability, not an indicator).  Coverage is additionally held to an
 absolute-delta cap, since its tolerance is stated in absolute terms.
 
 Downlink coverage is compared in the INTERFERENCE form, which is the exact
@@ -15,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import association as assoc_mod
 from . import coverage as cov_mod
@@ -82,7 +87,7 @@ def run_validation(
     """Run every analytic-vs-empirical comparison and collect the rows.
 
     `trials` drives the association tallies; coverage and per-cell load
-    measurements default to budgets that keep the full run in tens of
+    measurements default to budgets that keep the full run to a few
     seconds at trials = 1e5.
     """
     if trials < 1:
@@ -172,6 +177,10 @@ def validation_csv(report: ValidationReport, params: ScenarioParams) -> str:
         "# the sampler mirrors the analytic model's Poisson approximation of the",
         "# active-uplink interferer field; agreement validates the implementation,",
         "# not the physical exactness of that approximation",
+        f"# numpy = {np.__version__}",
+        "# coverage estimator = conditional success probability per trial"
+        f" (serving fade averaged); interferers sampled to {mc_mod._INTERFERER_SPAN:g}"
+        " typical spacings, the field beyond by its Laplace functional",
         f"# pass = {report.passed}",
     ]
     if report.insufficient_power:

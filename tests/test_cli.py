@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import hetmec.association
@@ -144,6 +145,8 @@ def test_validate_small_run_passes_with_csv(tmp_path, capsys):
     text = out.read_text()
     assert "quantity,analytic,empirical,std_error,z_score" in text
     assert "pass = " in text
+    assert f"# numpy = {np.__version__}\n" in text
+    assert "# coverage estimator = conditional success probability" in text
     assert code in (0, 4)  # statistical; the fixed acceptance seed is checked elsewhere
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     assert len(lines) >= 20

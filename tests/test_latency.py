@@ -170,12 +170,10 @@ def test_dl_proc_small_arrival_below_ul_proc_small_arrival():
     assert point.dl_arrival[Tier.SMALL] < tau_ul
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="known overflow defect")
 def test_dl_proc_arrival_finite_at_vanishing_small_cell_density():
-    # Known defect: at 2.2e-313 small cells per km2, lambda_u / lambda_s
-    # overflows, so rate * (lambda_u / lambda_s) * probability in the
-    # DL-processing arrival rates is inf (nan where the probability is 0),
-    # although the users per small cell stay finite.
+    # At 2.2e-313 small cells per km2, lambda_u / lambda_s alone overflows;
+    # the users per small cell, lambda_u * probability / lambda_s, stay
+    # finite, and so must the DL-processing arrival rates built from them.
     p = equal_power_scenario(lambda_s_per_km2=2.22507e-313, lambda_u_per_km2=1.0)
     assert all(math.isfinite(tau) for tau in operating_point(p).dl_arrival.values())
 

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from hetmec.association import Link, Policy, Tier, coupled_probs, decoupled_probs, mean_load
 from hetmec.config import params_from_raw
 from hetmec.coverage import DlCoverageForm, dl_coverage, ul_coverage
 from hetmec.montecarlo import (
+    _INTERFERER_SPAN,
+    _far_field_exponent,
     _nearest_distances,
     _rng,
     empirical_association,
@@ -100,6 +103,54 @@ def test_empirical_coverage_agrees_with_quadrature(policy, link, tier):
     else:
         analytic = dl_coverage(DEFAULTS, tier, gamma, form=DlCoverageForm.INTERFERENCE)
     assert abs(est.mean - analytic) < max(4.0 * est.std_error, 0.01)
+
+
+def _far_field_oracle(density, power, s, outer2):
+    # lambda pi * integral_{R^2}^inf sP / (sP + t^2) dt, split where the
+    # integrand turns from ~1 to its t^-2 tail; the tail is integrated in
+    # u = 1/t, where it becomes sP / (sP u^2 + 1) on a finite interval.
+    a = s * power
+    knee = outer2 + math.sqrt(a)
+    head, _ = integrate.quad(
+        lambda t: a / (a + t * t), outer2, knee, epsabs=0.0, epsrel=1e-13, limit=200
+    )
+    tail, _ = integrate.quad(
+        lambda u: a / (a * u * u + 1.0), 0.0, 1.0 / knee, epsabs=0.0, epsrel=1e-13, limit=200
+    )
+    return density * math.pi * (head + tail)
+
+
+@pytest.mark.parametrize("field", ["uplink", "downlink_macro"])
+def test_far_field_exponent_matches_quadrature_oracle(field):
+    if field == "uplink":
+        density = DEFAULTS.macro.density + DEFAULTS.small.density
+        power = DEFAULTS.user_tx_power
+    else:
+        density = DEFAULTS.macro.density
+        power = DEFAULTS.macro.tx_power
+    outer = _INTERFERER_SPAN / math.sqrt(math.pi * density)
+    # s = gamma x^4 / P_tx from tiny (far field ~ sP / R^2) through typical
+    # (serving distances of 1..1000 m at -10 dB) to huge (~ pi/2 sqrt(sP)).
+    s = np.array([1e-30, 1e-12, 1e-3, 1.0, 1e3, 1e8, 1e11, 1e20, 1e40])
+    for scale in (1.0, 2.0, 0.5):
+        outer2 = (scale * outer) ** 2
+        got = _far_field_exponent(density, power, s, outer2)
+        for s_value, value in zip(s, got):
+            expected = _far_field_oracle(density, power, float(s_value), outer2)
+            assert value == pytest.approx(expected, rel=1e-9), (s_value, scale)
+
+
+ALL_COMBINATIONS = [(policy, link, tier) for policy in Policy for link in Link for tier in Tier]
+
+
+@pytest.mark.parametrize("policy,link,tier", ALL_COMBINATIONS)
+def test_coverage_std_error_within_binomial(policy, link, tier):
+    # Averaging the conditional success probability instead of the success
+    # indicator cannot raise the variance (Rao-Blackwell).
+    gamma = DEFAULTS.ul_sinr_threshold if link is Link.UL else DEFAULTS.dl_sinr_threshold
+    trials = 20_000
+    est = empirical_coverage(DEFAULTS, policy, link, tier, gamma, trials, seed=12)
+    assert 0.0 < est.std_error <= math.sqrt(est.mean * (1.0 - est.mean) / trials)
 
 
 def test_window_doubling_changes_estimate_within_noise():
