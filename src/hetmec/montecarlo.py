@@ -3,17 +3,20 @@
 Everything here samples the geometry directly: homogeneous Poisson point
 processes for both BS tiers and the users, max-power or nearest-BS
 association applied to the sampled points, and exponential (Rayleigh-power)
-fading on every interfering link.  No coverage integral or association
-formula is consulted, so agreement with the analytic modules is evidence of
-implementation fidelity.
+fading on every interfering link.  A nearest-BS distance is the minimum
+over the points of a disc: the disc's Poisson point count is drawn, then the
+minimum of that many uniform squared radii by its inverse CDF.  No coverage
+integral or association formula is consulted, so agreement with the
+analytic modules is evidence of implementation fidelity.
 
 Coverage is Rao-Blackwellised.  Given the serving distance x and the
 sampled interference I, the serving fade is averaged out exactly: a trial
 contributes its conditional success probability exp(-s (N + I)) with
 s = gamma x^4 / P_tx (Haenggi, "The Meta Distribution of the SIR", IEEE TWC
 2016) instead of a success indicator.  Interferers are sampled only out to a
-few typical spacings; the Rayleigh-faded Poisson field beyond that radius R
-enters through its exact Laplace functional at alpha = 4,
+per-trial radius R of a few typical spacings (wider where the trial's own
+exclusion radius is); the Rayleigh-faded Poisson field beyond R enters
+through its exact Laplace functional at alpha = 4,
 exp(-lambda pi sqrt(sP) arctan(sqrt(sP) / R^2)) (Andrews, Baccelli and
 Ganti, IEEE TCOM 2011), so the cut costs variance, not bias.  The standard
 error is the sample standard deviation of the per-trial values.
@@ -50,8 +53,9 @@ _TAG_LOAD = 4
 _BATCH = 1 << 14
 # Radius multiplier for nearest-BS sampling: void probability exp(-27.6).
 _VOID_LOG = math.log(1e12)
-# Interferers are sampled out to 5 typical spacings (about 25 points per
-# field per trial); the field beyond enters through its Laplace functional.
+# Interferers are sampled out to 5 typical spacings, or 1.5 times the trial's
+# exclusion radius if that is wider (about 25 points per field per trial);
+# the field beyond enters through its Laplace functional.
 _INTERFERER_SPAN = 5.0
 _LOAD_TAIL_LOG = math.log(1e9)
 
@@ -74,38 +78,31 @@ class AssociationFrequencies:
     trials: int
 
 
-def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    cumulative = np.concatenate(([0.0], np.cumsum(values)))
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    return cumulative[ends] - cumulative[starts]
-
-
 def _nearest_distances(
     rng: np.random.Generator, density: float, n: int, window_scale: float
 ) -> tuple[np.ndarray, int]:
     """Distance from the origin to the nearest point of a PPP, per trial.
 
-    Points are sampled in a disc wide enough that an empty draw is a
-    ~1e-12 event; empty draws are resampled and counted.
+    Each trial draws the Poisson point count N of a disc wide enough that an
+    empty draw is a ~1e-12 event; empty draws are redrawn and counted.  The
+    squared distances of the N points are uniform on [0, R^2], so their
+    minimum is drawn directly by inverting its law,
+    P(min <= t) = 1 - (1 - t / R^2)^N, from one uniform per trial.
     """
     if density == 0.0:
         return np.full(n, np.inf), 0
     radius = math.sqrt(_VOID_LOG / (math.pi * density)) * window_scale
-    out = np.empty(n)
-    pending = np.arange(n)
+    mean = density * math.pi * radius * radius
+    counts = rng.poisson(mean, n)
+    empty = np.flatnonzero(counts == 0)
     resampled = 0
-    while pending.size:
-        counts = rng.poisson(density * math.pi * radius * radius, pending.size)
-        d2 = radius * radius * rng.random(int(counts.sum()))
-        filled = counts > 0
-        if filled.any():
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            mins = np.minimum.reduceat(d2, starts[filled])
-            out[pending[filled]] = np.sqrt(mins)
-        pending = pending[~filled]
-        resampled += int(pending.size)
-    return out, resampled
+    while empty.size:
+        resampled += int(empty.size)
+        counts[empty] = rng.poisson(mean, empty.size)
+        empty = empty[counts[empty] == 0]
+    u = rng.random(n)
+    d2 = radius * radius * -np.expm1(np.log1p(-u) / counts)
+    return np.sqrt(d2), resampled
 
 
 def _power_rule_small_wins(params: ScenarioParams, d_m: np.ndarray, d_s: np.ndarray) -> np.ndarray:
@@ -167,7 +164,7 @@ def _serving_rule(policy: Policy, link: Link) -> str:
 
 
 def _far_field_exponent(
-    density: float, power: float, s: np.ndarray, outer2: float
+    density: float, power: float, s: np.ndarray, outer2: np.ndarray | float
 ) -> np.ndarray:
     """-log E[exp(-s I_far)] for the Rayleigh-faded PPP field beyond radius R.
 
@@ -186,27 +183,28 @@ def _field_exponent(
     s: np.ndarray,
     exclusion2: np.ndarray,
     window_scale: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """s * I_near plus the far-field exponent of one interferer field.
 
     Interferers of a Rayleigh-faded PPP of the given density and power lie
-    beyond the per-trial exclusion radius; those inside the outer radius R
-    are sampled with their fades, the rest enter through their exact
-    Laplace functional.
+    beyond the per-trial exclusion radius.  Each trial has its own outer
+    radius R, the larger of _INTERFERER_SPAN typical spacings and 1.5 times
+    its exclusion radius (both times window_scale); the interferers between
+    the two radii are sampled with their fades, the field beyond R enters
+    through its exact Laplace functional.  Also returns the number of
+    interferers sampled.
     """
-    outer = max(
-        _INTERFERER_SPAN / math.sqrt(math.pi * density),
-        1.5 * math.sqrt(float(exclusion2.max())),
-    )
-    outer *= window_scale
-    outer2 = outer * outer
+    outer2 = np.maximum(
+        _INTERFERER_SPAN * _INTERFERER_SPAN / (math.pi * density), 2.25 * exclusion2
+    ) * (window_scale * window_scale)
     counts = rng.poisson(density * math.pi * (outer2 - exclusion2))
-    total = int(counts.sum())
-    inner = np.repeat(exclusion2, counts)
-    r2 = inner + rng.random(total) * (outer2 - inner)
-    fading = rng.exponential(1.0, total)
-    near = _segment_sums(power * fading / (r2 * r2), counts)
-    return s * near + _far_field_exponent(density, power, s, outer2)
+    trial_of = np.repeat(np.arange(s.size), counts)
+    inner = exclusion2[trial_of]
+    r2 = inner + rng.random(trial_of.size) * (outer2[trial_of] - inner)
+    fading = rng.exponential(1.0, trial_of.size)
+    near = np.bincount(trial_of, weights=power * fading / (r2 * r2), minlength=s.size)
+    exponent = s * near + _far_field_exponent(density, power, s, outer2)
+    return exponent, int(trial_of.size)
 
 
 def _downlink_exponent(
@@ -216,24 +214,42 @@ def _downlink_exponent(
     x2: np.ndarray,
     s: np.ndarray,
     window_scale: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Interference exponent at the user from every non-serving BS.
 
     Max-power association to the serving tier at squared distance x2 keeps
     every tier-j BS beyond squared distance (P_j / P_serving)**(2/alpha) * x2.
+    Also returns the number of interferers sampled.
     """
     alpha = params.pathloss_exponent
     p_serving = tier_params(params, serving).tx_power
     exponent = np.zeros(x2.size)
+    sampled = 0
     for tier in (Tier.MACRO, Tier.SMALL):
         tier_p = tier_params(params, tier)
         if tier_p.density == 0.0:
             continue
         exclusion2 = (tier_p.tx_power / p_serving) ** (2.0 / alpha) * x2
-        exponent += _field_exponent(
+        tier_exponent, tier_sampled = _field_exponent(
             rng, tier_p.density, tier_p.tx_power, s, exclusion2, window_scale
         )
-    return exponent
+        exponent += tier_exponent
+        sampled += tier_sampled
+    return exponent, sampled
+
+
+@dataclass(frozen=True)
+class CoverageEstimate(McEstimate):
+    """A coverage estimate with the sampler's work counts.
+
+    `trials` counts accepted trials, `drawn` the trials drawn up to the last
+    accepted one, `interferers` the interferer points sampled for accepted
+    trials, and `resampled` the empty-tier redraws of nearest distances.
+    """
+
+    drawn: int
+    interferers: int
+    resampled: int
 
 
 def empirical_coverage(
@@ -245,7 +261,7 @@ def empirical_coverage(
     trials: int,
     seed: int = 0,
     window_scale: float = 1.0,
-) -> McEstimate:
+) -> CoverageEstimate:
     """Empirical SINR coverage for one (policy, link, tier) combination.
 
     Trials are conditioned, by rejection, on the association landing on
@@ -266,20 +282,22 @@ def empirical_coverage(
     else:
         tx_power = tier_params(params, tier).tx_power
     values = []
-    accepted = 0
+    accepted = drawn = interferers = resampled = 0
     batch_index = 0
     while accepted < trials:
         rng = _rng(seed, _TAG_COVERAGE, batch_index)
-        d_m, _ = _nearest_distances(rng, params.macro.density, _BATCH, window_scale)
-        d_s, _ = _nearest_distances(rng, params.small.density, _BATCH, window_scale)
+        d_m, res_m = _nearest_distances(rng, params.macro.density, _BATCH, window_scale)
+        d_s, res_s = _nearest_distances(rng, params.small.density, _BATCH, window_scale)
+        resampled += res_m + res_s
         if rule == "power":
             small_wins = _power_rule_small_wins(params, d_m, d_s)
         else:
             small_wins = d_s < d_m
         keep = small_wins if tier is Tier.SMALL else ~small_wins
-        x = (d_s if tier is Tier.SMALL else d_m)[keep]
-        x = x[: trials - accepted]
-        if x.size == 0:
+        picked = np.flatnonzero(keep)[: trials - accepted]
+        # Trials after the last one needed are drawn but never examined.
+        drawn += int(picked[-1]) + 1 if accepted + picked.size == trials else _BATCH
+        if picked.size == 0:
             batch_index += 1
             if batch_index > 4096:
                 raise RuntimeError(
@@ -287,29 +305,34 @@ def empirical_coverage(
                     "cannot condition the coverage estimate"
                 )
             continue
+        x = (d_s if tier is Tier.SMALL else d_m)[picked]
         x2 = x * x
         s = gamma * x2 * x2 / tx_power
         if link is Link.UL:
             # Active-uplink users interfere from outside the disc of radius x
             # around the receiving BS.
             lam = params.macro.density + params.small.density
-            exponent = _field_exponent(rng, lam, tx_power, s, x2, window_scale)
+            exponent, sampled = _field_exponent(rng, lam, tx_power, s, x2, window_scale)
         else:
-            exponent = _downlink_exponent(rng, params, tier, x2, s, window_scale)
+            exponent, sampled = _downlink_exponent(rng, params, tier, x2, s, window_scale)
         values.append(np.exp(-(s * params.noise_power + exponent)))
         accepted += x.size
+        interferers += sampled
         batch_index += 1
     v = np.concatenate(values)
     std_error = float(np.std(v, ddof=1)) / math.sqrt(trials) if trials > 1 else math.inf
-    return McEstimate(float(np.mean(v)), std_error, trials)
+    return CoverageEstimate(
+        float(np.mean(v)), std_error, trials, drawn, interferers, resampled
+    )
 
 
 def _load_regions(params: ScenarioParams, window_scale: float) -> dict:
     """Geometry for the per-cell load counter.
 
     Cells are counted only for BSs inside a small pick region; users are
-    sampled far enough out to cover every cell of a picked BS, and BSs far
-    enough beyond that for every sampled user to see its true nearest BS of
+    sampled far enough out to cover every cell of a picked BS.  Each tier's
+    BSs are sampled in their own disc, the user disc widened by that tier's
+    nearest-BS tail, so that every sampled user sees its true nearest BS of
     each tier (tail probabilities ~1e-9).
     """
     tails = {}
@@ -320,31 +343,31 @@ def _load_regions(params: ScenarioParams, window_scale: float) -> dict:
             continue
         tails[tier] = math.sqrt(_LOAD_TAIL_LOG / (math.pi * lam))
         picks[tier] = 2.0 / math.sqrt(math.pi * lam)
-    max_tail = max(tails.values())
     r_user = max(picks[t] + tails[t] for t in picks) * window_scale
-    r_bs = r_user + max_tail * window_scale
+    r_bs = {t: r_user + tails[t] * window_scale for t in tails}
     return {
         "picks": {t: picks[t] * window_scale for t in picks},
         "r_user": r_user,
         "r_bs": r_bs,
-        "spacing": 4.0 * r_bs,
+        "spacing": 4.0 * max(r_bs.values()),
     }
 
 
 def _mean_loads_by_rule(
     params: ScenarioParams,
-    rule: str,
     trials: int,
     seed: int,
     window_scale: float = 1.0,
-) -> dict[Tier, McEstimate]:
-    """Users per BS under one association rule, both tiers from one pass.
+) -> dict[str, dict[Tier, McEstimate]]:
+    """Users per BS under both association rules, both tiers, from one pass.
 
+    Returns {rule: {tier: estimate}} for the "power" and "nearest" rules.
     Trials are laid out side by side on a line with a spacing that keeps
     them geometrically independent, so a single KD-tree per tier answers
-    every nearest-BS query.  The estimate is the ratio of total users served
-    by in-region BSs to the in-region BS count (unbiased for the typical
-    cell; the BS nearest the origin would be size-biased).
+    every nearest-BS query; the queries do not depend on the rule, so one
+    realization of users and BSs serves both.  The estimate is the ratio of
+    total users served by in-region BSs to the in-region BS count (unbiased
+    for the typical cell; the BS nearest the origin would be size-biased).
     """
     # Imported here: scipy.spatial costs every `import hetmec` about 0.13 s
     # and only this sampler needs it.
@@ -373,7 +396,7 @@ def _mean_loads_by_rule(
         if lam == 0.0:
             bs[tier] = None
             continue
-        pts, counts, trial_of, radial = sample_process(lam, geo["r_bs"])
+        pts, counts, trial_of, radial = sample_process(lam, geo["r_bs"][tier])
         if int(counts.min()) == 0:
             # A trial with no BS of a nonzero-density tier cannot resolve
             # nearest queries; astronomically unlikely at these radii.
@@ -397,32 +420,33 @@ def _mean_loads_by_rule(
             d, i = info["tree"].query(users, k=1)
             dist[tier], index[tier] = d, i
 
-    if rule == "power":
-        small_wins = _power_rule_small_wins(params, dist[Tier.MACRO], dist[Tier.SMALL])
-    else:
-        small_wins = dist[Tier.SMALL] < dist[Tier.MACRO]
-
+    small_wins_by_rule = {
+        "power": _power_rule_small_wins(params, dist[Tier.MACRO], dist[Tier.SMALL]),
+        "nearest": dist[Tier.SMALL] < dist[Tier.MACRO],
+    }
     out = {}
-    for tier, info in bs.items():
-        if info is None:
-            out[tier] = McEstimate(0.0, 0.0, trials)
-            continue
-        served_here = small_wins if tier is Tier.SMALL else ~small_wins
-        per_bs = np.bincount(index[tier][served_here], minlength=info["n"])
-        interior = info["interior"]
-        totals = np.bincount(
-            info["trial_of"][interior], weights=per_bs[interior], minlength=trials
-        )
-        cells = np.bincount(info["trial_of"][interior], minlength=trials)
-        total_cells = int(cells.sum())
-        if total_cells == 0:
-            raise RuntimeError("no interior cells sampled; increase trials")
-        est = float(totals.sum()) / total_cells
-        residuals = totals - est * cells
-        var = float(np.sum(residuals**2)) / (total_cells**2)
-        if trials > 1:
-            var *= trials / (trials - 1)
-        out[tier] = McEstimate(est, math.sqrt(var), trials)
+    for rule, small_wins in small_wins_by_rule.items():
+        out[rule] = {}
+        for tier, info in bs.items():
+            if info is None:
+                out[rule][tier] = McEstimate(0.0, 0.0, trials)
+                continue
+            served_here = small_wins if tier is Tier.SMALL else ~small_wins
+            per_bs = np.bincount(index[tier][served_here], minlength=info["n"])
+            interior = info["interior"]
+            totals = np.bincount(
+                info["trial_of"][interior], weights=per_bs[interior], minlength=trials
+            )
+            cells = np.bincount(info["trial_of"][interior], minlength=trials)
+            total_cells = int(cells.sum())
+            if total_cells == 0:
+                raise RuntimeError("no interior cells sampled; increase trials")
+            est = float(totals.sum()) / total_cells
+            residuals = totals - est * cells
+            var = float(np.sum(residuals**2)) / (total_cells**2)
+            if trials > 1:
+                var *= trials / (trials - 1)
+            out[rule][tier] = McEstimate(est, math.sqrt(var), trials)
     return out
 
 
@@ -437,4 +461,4 @@ def empirical_mean_load(
 ) -> McEstimate:
     """Mean users per tier BS on the given link, counted on sampled cells."""
     rule = _serving_rule(policy, link)
-    return _mean_loads_by_rule(params, rule, trials, seed, window_scale)[tier]
+    return _mean_loads_by_rule(params, trials, seed, window_scale)[rule][tier]

@@ -115,11 +115,11 @@ def run_validation(
             f"warning: {freq.resampled} empty-tier redraws in {trials} trials"
         )
 
-    # Per-cell loads: one pass per association rule covers both tiers; the
+    # Per-cell loads: one realization covers both rules and both tiers; the
     # downlink marginals of the decoupled policy obey the same max-power
     # rule as the coupled policy, so they reuse the same measurement.
-    power_loads = mc_mod._mean_loads_by_rule(params, "power", load_trials, seed + 1)
-    nearest_loads = mc_mod._mean_loads_by_rule(params, "nearest", load_trials, seed + 2)
+    loads = mc_mod._mean_loads_by_rule(params, load_trials, seed + 1)
+    power_loads, nearest_loads = loads["power"], loads["nearest"]
     load_specs = [
         ("load_coupled_small", (Policy.COUPLED, Link.UL, Tier.SMALL), power_loads[Tier.SMALL]),
         ("load_coupled_macro", (Policy.COUPLED, Link.UL, Tier.MACRO), power_loads[Tier.MACRO]),
@@ -155,8 +155,13 @@ def run_validation(
                 estimate = mc_mod.empirical_coverage(
                     params, policy, link, tier, gamma, coverage_trials, seed=combo_seed
                 )
-                rows.append(
-                    _row(f"coverage_{link.value}_{policy.value}_{tier.value}", analytic, estimate)
+                name = f"coverage_{link.value}_{policy.value}_{tier.value}"
+                rows.append(_row(name, analytic, estimate))
+                notes.append(
+                    f"sampler {name}: drawn {estimate.drawn}, accepted {estimate.trials}"
+                    f" ({estimate.trials / estimate.drawn:.4f}), interferers"
+                    f" {estimate.interferers} ({estimate.interferers / estimate.trials:.2f}"
+                    f" per accepted trial), empty-tier redraws {estimate.resampled}"
                 )
                 combo_seed += 1
 
@@ -179,8 +184,9 @@ def validation_csv(report: ValidationReport, params: ScenarioParams) -> str:
         "# not the physical exactness of that approximation",
         f"# numpy = {np.__version__}",
         "# coverage estimator = conditional success probability per trial"
-        f" (serving fade averaged); interferers sampled to {mc_mod._INTERFERER_SPAN:g}"
-        " typical spacings, the field beyond by its Laplace functional",
+        " (serving fade averaged); interferers sampled out to a per-trial outer radius,"
+        f" the larger of {mc_mod._INTERFERER_SPAN:g} typical spacings and 1.5 x the"
+        " trial's exclusion radius, the field beyond by its Laplace functional",
         f"# pass = {report.passed}",
     ]
     if report.insufficient_power:

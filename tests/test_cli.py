@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hetmec.association
+import hetmec.montecarlo
 from hetmec.cli import main
 from hetmec.config import default_params
 from hetmec.validate import run_validation
@@ -139,6 +140,26 @@ def test_validate_writes_csv_and_flags_injected_fault(tmp_path, monkeypatch, cap
     assert worst > 3.0
 
 
+def test_validation_makes_one_load_pass_and_notes_sampler_counts(monkeypatch):
+    calls = []
+    original = hetmec.montecarlo._mean_loads_by_rule
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hetmec.montecarlo, "_mean_loads_by_rule", spy)
+    report = run_validation(default_params(), trials=2_000, seed=5)
+    assert len(calls) == 1
+    coverage_rows = [r.quantity for r in report.rows if r.quantity.startswith("coverage")]
+    sampler_rows = [
+        note.removeprefix("sampler ").partition(":")[0]
+        for note in report.notes
+        if note.startswith("sampler ")
+    ]
+    assert sampler_rows == coverage_rows
+
+
 def test_validate_small_run_passes_with_csv(tmp_path, capsys):
     out = tmp_path / "val.csv"
     code = main(["validate", "--trials", "12000", "--seed", "8", "--out", str(out)])
@@ -147,6 +168,7 @@ def test_validate_small_run_passes_with_csv(tmp_path, capsys):
     assert "pass = " in text
     assert f"# numpy = {np.__version__}\n" in text
     assert "# coverage estimator = conditional success probability" in text
+    assert "# sampler coverage_ul_coupled_macro: drawn " in text
     assert code in (0, 4)  # statistical; the fixed acceptance seed is checked elsewhere
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     assert len(lines) >= 20

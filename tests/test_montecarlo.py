@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from hetmec.association import Link, Policy, Tier, coupled_probs, decoupled_probs, mean_load
 from hetmec.config import params_from_raw
 from hetmec.coverage import DlCoverageForm, dl_coverage, ul_coverage
 from hetmec.montecarlo import (
     _INTERFERER_SPAN,
+    _VOID_LOG,
     _far_field_exponent,
     _nearest_distances,
     _rng,
@@ -27,6 +28,36 @@ def test_zero_density_process_is_empty():
     assert distances.shape == (1000,)
     assert np.all(np.isinf(distances))
     assert resampled == 0
+
+
+@pytest.mark.parametrize("tier", list(Tier))
+@pytest.mark.parametrize("window_scale", [1.0, 2.0])
+def test_nearest_distances_follow_void_probability(tier, window_scale):
+    # P(d > r) = exp(-lambda pi r^2) for the nearest point of a PPP.
+    density = (DEFAULTS.macro if tier is Tier.MACRO else DEFAULTS.small).density
+    n = 100_000
+    distances, resampled = _nearest_distances(_rng(31, 1), density, n, window_scale)
+    assert resampled == 0
+    ks = stats.kstest(distances, lambda r: -np.expm1(-density * math.pi * r * r))
+    assert ks.statistic < 1.95 / math.sqrt(n)  # KS critical value at 0.1%
+
+
+def test_nearest_distances_redraw_empty_discs():
+    # A disc this small is empty in ~93% of draws: every empty draw is redrawn
+    # and counted, and the result is the nearest-point law given a nonempty disc.
+    density = DEFAULTS.small.density
+    window_scale = 0.05
+    radius = math.sqrt(_VOID_LOG / (math.pi * density)) * window_scale
+    n = 2_000
+    distances, resampled = _nearest_distances(_rng(32, 1), density, n, window_scale)
+    assert np.all(distances <= radius)
+    p_empty = math.exp(-density * math.pi * radius * radius)
+    expected = n * p_empty / (1.0 - p_empty)
+    sd = math.sqrt(n * p_empty) / (1.0 - p_empty)
+    assert abs(resampled - expected) < 5.0 * sd
+    norm = -math.expm1(-density * math.pi * radius * radius)
+    ks = stats.kstest(distances, lambda r: -np.expm1(-density * math.pi * r * r) / norm)
+    assert ks.statistic < 1.95 / math.sqrt(n)
 
 
 def test_empirical_association_matches_closed_forms():
@@ -151,6 +182,25 @@ def test_coverage_std_error_within_binomial(policy, link, tier):
     trials = 20_000
     est = empirical_coverage(DEFAULTS, policy, link, tier, gamma, trials, seed=12)
     assert 0.0 < est.std_error <= math.sqrt(est.mean * (1.0 - est.mean) / trials)
+
+
+@pytest.mark.parametrize("policy,tier", [(policy, tier) for policy in Policy for tier in Tier])
+def test_uplink_sampler_counts(policy, tier):
+    # Each trial's outer radius follows its own exclusion radius, so a trial
+    # samples about 25 interferers (5 typical spacings) whatever its serving
+    # distance; and accepted / drawn trials is the association probability.
+    trials = 20_000
+    est = empirical_coverage(
+        DEFAULTS, policy, Link.UL, tier, DEFAULTS.ul_sinr_threshold, trials, seed=12
+    )
+    assert est.interferers / est.trials <= 30.0
+    assert est.resampled == 0
+    if policy is Policy.COUPLED:
+        a_small = coupled_probs(DEFAULTS)[0]
+    else:
+        a_small = DEFAULTS.small.density / (DEFAULTS.small.density + DEFAULTS.macro.density)
+    p = a_small if tier is Tier.SMALL else 1.0 - a_small
+    assert abs(trials / est.drawn - p) < 4.0 * math.sqrt(p * (1.0 - p) / est.drawn)
 
 
 def test_window_doubling_changes_estimate_within_noise():
