@@ -16,9 +16,7 @@ from .association import (
     coupled_probs,
     decoupled_probs,
     marginals,
-    mean_load,
     power_ratio_factor,
-    serving_distance_pdf,
 )
 from .config import (
     BackhaulMode,
@@ -54,7 +52,6 @@ from .montecarlo import (
     McEstimate,
     empirical_association,
     empirical_coverage,
-    empirical_mean_load,
 )
 from .sweeps import SweepSpec, figure_sweep_spec, run_sweep, write_sweep_csv
 from .validate import ValidationReport, run_validation, write_validation_csv

@@ -1,4 +1,4 @@
-"""Closed-form association probabilities, serving-distance PDFs and loads.
+"""Closed-form association probabilities, serving-distance slopes and loads.
 
 Two association policies are modeled.  Under coupled access the user takes
 the base station with the strongest downlink received power and reuses it
@@ -11,16 +11,16 @@ macro is the nearest BS overall it also wins the power comparison.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .config import ScenarioParams
 
 
+# Tier, Policy and Link key the per-scenario dicts.  Members are singletons, so
+# they hash by identity: Enum's default hashes the name in Python, far slower.
 class Tier(Enum):
+    __hash__ = object.__hash__
     MACRO = "macro"
     SMALL = "small"
 
@@ -30,11 +30,13 @@ class Tier(Enum):
 
 
 class Policy(Enum):
+    __hash__ = object.__hash__
     COUPLED = "coupled"
     DECOUPLED = "decoupled"
 
 
 class Link(Enum):
+    __hash__ = object.__hash__
     UL = "ul"
     DL = "dl"
 
@@ -103,52 +105,6 @@ class AssociationReport:
     load: dict[tuple[Policy, Link, Tier], float]
 
 
-def association_probability(
-    params: ScenarioParams, policy: Policy, link: Link, tier: Tier
-) -> float:
-    """Probability that the given link of the typical user lands on `tier`."""
-    if policy is Policy.COUPLED:
-        a_ss, a_mm = coupled_probs(params)
-        return a_ss if tier is Tier.SMALL else a_mm
-    a_ul, a_dl = marginals(decoupled_probs(params))
-    return a_ul[tier] if link is Link.UL else a_dl[tier]
-
-
-def mean_load(params: ScenarioParams, policy: Policy, link: Link, tier: Tier) -> float:
-    """Mean number of users a tier BS serves on the given link.
-
-    This is user density times association probability over BS density; the
-    mean area of a cell in a tier of density lambda is 1/lambda and no
-    cell-size variance correction is applied.
-    """
-    lam = tier_params(params, tier).density
-    if lam == 0.0:
-        return 0.0
-    return params.user_density * association_probability(params, policy, link, tier) / lam
-
-
-def serving_distance_pdf(
-    params: ScenarioParams, policy: Policy, tier: Tier, x
-):
-    """PDF of the distance to the serving BS, given the serving tier.
-
-    Coupled (max-power) association thins the competition by the power
-    factor; decoupled uplink association competes on distance alone.  The
-    density vanishes at x = 0 and integrates to one over (0, inf).
-    Accepts scalar or array x (meters).
-    """
-    x = np.asarray(x, dtype=float)
-    lam_k = tier_params(params, tier).density
-    if lam_k == 0.0:
-        return np.zeros_like(x) if x.ndim else 0.0
-    slope = distance_pdf_slope(params, policy, tier)
-    # The PDF is that of the uplink serving BS, which coupled access also
-    # uses for the downlink.
-    norm = association_probability(params, policy, Link.UL, tier)
-    pdf = (2.0 * math.pi * lam_k / norm) * x * np.exp(-slope * math.pi * x**2)
-    return pdf if pdf.ndim else float(pdf)
-
-
 def distance_pdf_slope(params: ScenarioParams, policy: Policy, tier: Tier) -> float:
     """Density-like coefficient c in the serving-distance PDF x*exp(-pi*c*x^2).
 
@@ -166,14 +122,25 @@ def distance_pdf_slope(params: ScenarioParams, policy: Policy, tier: Tier) -> fl
 
 
 def association_report(params: ScenarioParams) -> AssociationReport:
+    """The association law of one scenario: every probability and mean load.
+
+    A mean load is the mean number of users a tier BS serves on a link: user
+    density times association probability over BS density.  The mean area
+    of a cell in a tier of density lambda is 1/lambda and no cell-size
+    variance correction is applied; a zero-density tier serves no one.
+    """
     a_ss_d, a_mm_d = coupled_probs(params)
     dec = decoupled_probs(params)
     a_ul, a_dl = marginals(dec)
+    coupled = {Tier.SMALL: a_ss_d, Tier.MACRO: a_mm_d}
+    decoupled = {Link.UL: a_ul, Link.DL: a_dl}
     load = {}
     for policy in Policy:
         for link in Link:
+            prob = coupled if policy is Policy.COUPLED else decoupled[link]
             for tier in Tier:
-                load[(policy, link, tier)] = mean_load(params, policy, link, tier)
+                lam = tier_params(params, tier).density
+                load[policy, link, tier] = params.user_density * prob[tier] / lam if lam else 0.0
     return AssociationReport(
         a_ss_d=a_ss_d,
         a_mm_d=a_mm_d,

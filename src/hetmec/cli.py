@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import __version__
-from .association import Tier, association_report
+from .association import Tier
 from .config import ConfigError, default_params, parse_config
 from .coverage import DlCoverageForm, dl_coverage
 from .latency import (
@@ -55,7 +55,8 @@ def _form(name: str) -> DlCoverageForm:
 def cmd_analytic(args) -> int:
     params = _load_params(args.config)
     form = _form(args.dl_coverage_form)
-    report = association_report(params)
+    point = operating_point(params, form)
+    report = point.assoc
     print(f"assoc.coupled.small = {report.a_ss_d!r}")
     print(f"assoc.coupled.macro = {report.a_mm_d!r}")
     print(f"assoc.decoupled.small_small = {report.a_ss_u!r}")
@@ -68,7 +69,6 @@ def cmd_analytic(args) -> int:
     for (policy, link, tier), value in sorted(report.load.items(), key=str):
         print(f"load.{policy.value}.{link.value}.{tier.value} = {value!r}")
 
-    point = operating_point(params, form)
     for (policy, tier), cov in point.ul_coverage.items():
         print(f"coverage.ul.{policy.value}.{tier.value} = {cov!r}")
     for tier in point.tiers:
@@ -77,7 +77,7 @@ def cmd_analytic(args) -> int:
             print(f"coverage.dl.{cov_form.value}.{tier.value} = {cov!r}")
 
     for scheme in Scheme:
-        for ul_tier, dl_tier, weight in scheme_cases(params, scheme):
+        for ul_tier, dl_tier, weight in scheme_cases(point, scheme):
             case = case_latency(point, scheme, ul_tier, dl_tier)
             stem = f"case.{scheme.value}.{ul_tier.value}_{dl_tier.value}"
             print(f"{stem}.weight = {weight!r}")

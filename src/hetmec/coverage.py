@@ -73,11 +73,6 @@ def thinned_user_density(params: ScenarioParams) -> float:
     return params.macro.density + params.small.density
 
 
-def equivalent_interferer_density(params: ScenarioParams, tier: Tier) -> float:
-    """Downlink interferer density equivalent seen from a tier-k association."""
-    return association.distance_pdf_slope(params, Policy.COUPLED, tier)
-
-
 def _coverage_integral(
     params: ScenarioParams,
     policy_pdf: Policy,
@@ -87,13 +82,15 @@ def _coverage_integral(
 ) -> float:
     # Average of exp(-a*x^4 - b*x^2) over the serving-distance PDF; see the
     # module docstring.  sqrt(pi)/(2*sqrt(a)) rather than sqrt(pi/a)/2 keeps
-    # a subnormal a from overflowing the quotient to inf.
+    # a subnormal a from overflowing the quotient to inf.  The erfcx product
+    # can round past 1 when a is tiny; a probability is capped there.
     pi_c = math.pi * association.distance_pdf_slope(params, policy_pdf, tier)
     linear = pi_c + interf_coeff
     if noise_coeff == 0.0:
         return pi_c / linear
     root_a = math.sqrt(noise_coeff)
-    return pi_c * math.sqrt(math.pi) / (2.0 * root_a) * float(erfcx(linear / (2.0 * root_a)))
+    cov = pi_c * math.sqrt(math.pi) / (2.0 * root_a) * float(erfcx(linear / (2.0 * root_a)))
+    return min(cov, 1.0)
 
 
 def ul_coverage(
@@ -148,27 +145,6 @@ def dl_coverage(
         return _coverage_integral(
             params, Policy.COUPLED, tier, noise_coeff * (1.0 + psi(gamma_dl)), 0.0
         )
-    interf_coeff = math.pi * psi(gamma_dl) * equivalent_interferer_density(params, tier)
+    equivalent_density = association.distance_pdf_slope(params, Policy.COUPLED, tier)
+    interf_coeff = math.pi * psi(gamma_dl) * equivalent_density
     return _coverage_integral(params, Policy.COUPLED, tier, noise_coeff, interf_coeff)
-
-
-def ul_coverage_interference_limited(
-    params: ScenarioParams, policy: Policy, tier: Tier, gamma_ul: float
-) -> float:
-    """Closed-form uplink coverage in the noise-free limit.
-
-    With the noise term dropped the integral collapses to
-    c / (c + lam_tilde * psi(g)) where c is the serving-PDF density slope.
-    """
-    slope = association.distance_pdf_slope(params, policy, tier)
-    return slope / (slope + thinned_user_density(params) * psi(gamma_ul))
-
-
-def dl_coverage_interference_limited(params: ScenarioParams, gamma_dl: float) -> float:
-    """Closed-form INTERFERENCE-form downlink coverage in the noise-free limit.
-
-    The equivalent interferer density equals the serving-PDF slope, so the
-    tier dependence cancels and the value is 1 / (1 + psi(g)) for both tiers.
-    """
-    del params
-    return 1.0 / (1.0 + psi(gamma_dl))

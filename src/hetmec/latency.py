@@ -9,11 +9,11 @@ a cloudlet, and downloads `output_bits`.  Three schemes are compared:
 * DECOUPLED_DL_PROC: execution at the downlink BS, with the input crossing
   the backhaul first.
 
-All three schemes read the same per-tier quantities: uplink coverage, load
-and rate per (policy, tier), downlink rate per (policy, tier), and the
-cloudlet arrival rates.  `operating_point` computes each of them once per
-scenario; `case_latency` and `average_breakdown` derive every case of every
-scheme from that one frozen `OperatingPoint`.
+All three schemes read one association law (case probabilities and per-BS
+loads) and the same per-tier coverages, rates and cloudlet arrival rates.
+`operating_point` computes each of them once per scenario; `scheme_cases`,
+`case_latency` and `average_breakdown` derive every case of every scheme
+from that one frozen `OperatingPoint`.
 
 Cloudlets are M/M/1 queues.  Because each BS time-shares its uplink
 bandwidth across its associated users, the aggregate bits/s entering a BS
@@ -32,15 +32,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .association import (
-    Link,
-    Policy,
-    Tier,
-    coupled_probs,
-    decoupled_probs,
-    mean_load,
-    tier_params,
-)
+from .association import AssociationReport, Link, Policy, Tier, association_report, tier_params
 from .config import BackhaulMode, ScenarioParams
 from .coverage import DlCoverageForm, dl_coverage, ul_coverage
 
@@ -75,19 +67,20 @@ class LatencyBreakdown:
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """The per-tier quantities all three schemes share, for one scenario.
+    """The association law and per-tier quantities all three schemes share.
 
-    Entries exist only for `tiers`, the tiers with positive density.  Rates
-    are bits/s per user.  Arrival rates are requests/s into a cloudlet:
-    `ul_arrival` at the uplink BS (which executes under coupled access and
-    DECOUPLED_UL_PROC), `dl_arrival` at the downlink BS (which executes under
-    DECOUPLED_DL_PROC).
+    `assoc` holds the case probabilities and every (policy, link, tier) load.
+    The other entries exist only for `tiers`, the tiers with positive
+    density.  Rates are bits/s per user.  Arrival rates are requests/s into a
+    cloudlet: `ul_arrival` at the uplink BS (which executes under coupled
+    access and DECOUPLED_UL_PROC), `dl_arrival` at the downlink BS (which
+    executes under DECOUPLED_DL_PROC).
     """
 
     params: ScenarioParams
+    assoc: AssociationReport
     tiers: tuple[Tier, ...]
     ul_coverage: dict[tuple[Policy, Tier], float]
-    ul_load: dict[tuple[Policy, Tier], float]
     ul_rate: dict[tuple[Policy, Tier], float]
     dl_coverage: dict[Tier, float]
     dl_rate: dict[tuple[Policy, Tier], float]
@@ -116,33 +109,33 @@ def operating_point(
     gamma_dl = params.dl_sinr_threshold
     tiers = tuple(tier for tier in Tier if tier_params(params, tier).density > 0.0)
     keys = [(policy, tier) for policy in Policy for tier in tiers]
+    assoc = association_report(params)
+    ul_load = {(policy, tier): assoc.load[policy, Link.UL, tier] for policy, tier in keys}
 
     ul_cov = {key: ul_coverage(params, *key, gamma_ul) for key in keys}
-    ul_load = {key: mean_load(params, key[0], Link.UL, key[1]) for key in keys}
     ul_rate = {
         key: params.ul_bandwidth / ul_load[key] * spectral_efficiency(gamma_ul) * ul_cov[key]
         for key in keys
     }
     dl_cov = {tier: dl_coverage(params, tier, gamma_dl, form=form) for tier in tiers}
     dl_rate = {
-        key: params.dl_bandwidth
-        / mean_load(params, key[0], Link.DL, key[1])
+        (policy, tier): params.dl_bandwidth
+        / assoc.load[policy, Link.DL, tier]
         * spectral_efficiency(gamma_dl)
-        * dl_cov[key[1]]
-        for key in keys
+        * dl_cov[tier]
+        for policy, tier in keys
     }
     ul_arrival = {key: ul_rate[key] * ul_load[key] / params.input_bits for key in keys}
 
-    a_ss, _, a_sm, _ = decoupled_probs(params)
     macro = (Policy.DECOUPLED, Tier.MACRO)
     own = ul_rate[macro] * ul_load[macro]
     if Tier.SMALL not in tiers:
         dl_arrival = {Tier.MACRO: own / params.input_bits}
     else:
-        # Users per small cell in each case, counted as mean_load counts them
+        # Users per small cell in each case, counted as the loads are counted
         # so that a vanishing small-cell density cannot overflow.
-        split_users = params.user_density * a_sm / params.small.density
-        kept_users = params.user_density * a_ss / params.small.density
+        split_users = params.user_density * assoc.a_sm_u / params.small.density
+        kept_users = params.user_density * assoc.a_ss_u / params.small.density
         rate_s = ul_rate[Policy.DECOUPLED, Tier.SMALL]
         dl_arrival = {
             Tier.MACRO: (own + rate_s * split_users) / params.input_bits,
@@ -151,9 +144,9 @@ def operating_point(
 
     return OperatingPoint(
         params=params,
+        assoc=assoc,
         tiers=tiers,
         ul_coverage=ul_cov,
-        ul_load=ul_load,
         ul_rate=ul_rate,
         dl_coverage=dl_cov,
         dl_rate=dl_rate,
@@ -250,17 +243,16 @@ def case_latency(
     )
 
 
-def scheme_cases(params: ScenarioParams, scheme: Scheme) -> list[tuple[Tier, Tier, float]]:
+def scheme_cases(point: OperatingPoint, scheme: Scheme) -> list[tuple[Tier, Tier, float]]:
     """(ul_tier, dl_tier, probability) triples with nonzero weight."""
+    assoc = point.assoc
     if scheme is Scheme.COUPLED_ACCESS:
-        a_ss, a_mm = coupled_probs(params)
-        cases = [(Tier.SMALL, Tier.SMALL, a_ss), (Tier.MACRO, Tier.MACRO, a_mm)]
+        cases = [(Tier.SMALL, Tier.SMALL, assoc.a_ss_d), (Tier.MACRO, Tier.MACRO, assoc.a_mm_d)]
     else:
-        a_ss, a_mm, a_sm, _ = decoupled_probs(params)
         cases = [
-            (Tier.SMALL, Tier.SMALL, a_ss),
-            (Tier.MACRO, Tier.MACRO, a_mm),
-            (Tier.SMALL, Tier.MACRO, a_sm),
+            (Tier.SMALL, Tier.SMALL, assoc.a_ss_u),
+            (Tier.MACRO, Tier.MACRO, assoc.a_mm_u),
+            (Tier.SMALL, Tier.MACRO, assoc.a_sm_u),
         ]
     return [(k, l, w) for k, l, w in cases if w > 0.0]
 
@@ -275,7 +267,7 @@ def average_breakdown(
     affected component (and the total) unbounded.
     """
     ul = exec_ = bh = dl = 0.0
-    cases = scheme_cases(point.params, scheme)
+    cases = scheme_cases(point, scheme)
     if not cases:
         raise ValueError("no association case has positive probability")
     for ul_tier, dl_tier, weight in cases:

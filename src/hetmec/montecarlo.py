@@ -189,14 +189,15 @@ def _field_exponent(
     Interferers of a Rayleigh-faded PPP of the given density and power lie
     beyond the per-trial exclusion radius.  Each trial has its own outer
     radius R, the larger of _INTERFERER_SPAN typical spacings and 1.5 times
-    its exclusion radius (both times window_scale); the interferers between
-    the two radii are sampled with their fades, the field beyond R enters
-    through its exact Laplace functional.  Also returns the number of
-    interferers sampled.
+    its exclusion radius (both times window_scale), but never inside the
+    exclusion radius, which a window_scale below 2/3 would otherwise allow;
+    the interferers between the two radii are sampled with their fades, the
+    field beyond R enters through its exact Laplace functional.  Also
+    returns the number of interferers sampled.
     """
-    outer2 = np.maximum(
-        _INTERFERER_SPAN * _INTERFERER_SPAN / (math.pi * density), 2.25 * exclusion2
-    ) * (window_scale * window_scale)
+    spans2 = _INTERFERER_SPAN * _INTERFERER_SPAN / (math.pi * density)
+    outer2 = np.maximum(spans2, 2.25 * exclusion2) * (window_scale * window_scale)
+    outer2 = np.maximum(outer2, exclusion2)
     counts = rng.poisson(density * math.pi * (outer2 - exclusion2))
     trial_of = np.repeat(np.arange(s.size), counts)
     inner = exclusion2[trial_of]
@@ -448,17 +449,3 @@ def _mean_loads_by_rule(
                 var *= trials / (trials - 1)
             out[rule][tier] = McEstimate(est, math.sqrt(var), trials)
     return out
-
-
-def empirical_mean_load(
-    params: ScenarioParams,
-    policy: Policy,
-    link: Link,
-    tier: Tier,
-    trials: int,
-    seed: int = 0,
-    window_scale: float = 1.0,
-) -> McEstimate:
-    """Mean users per tier BS on the given link, counted on sampled cells."""
-    rule = _serving_rule(policy, link)
-    return _mean_loads_by_rule(params, trials, seed, window_scale)[rule][tier]

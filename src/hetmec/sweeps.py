@@ -109,12 +109,6 @@ def resolve_point_raw(spec: SweepSpec, base_raw: dict, value: float, variant: di
     return raw
 
 
-def resolve_point(
-    spec: SweepSpec, base_raw: dict, value: float, variant: dict
-) -> ScenarioParams:
-    return params_from_raw(resolve_point_raw(spec, base_raw, value, variant))
-
-
 def figure_sweep_spec(figure: int) -> SweepSpec:
     if figure == 2:
         return SweepSpec(

@@ -131,7 +131,7 @@ def run_validation(
     for name, (policy, link, tier), estimate in load_specs:
         if tier is Tier.SMALL and not has_small:
             continue
-        rows.append(_row(name, assoc_mod.mean_load(params, policy, link, tier), estimate))
+        rows.append(_row(name, report.load[policy, link, tier], estimate))
 
     combo_seed = seed + 10
     for policy in (Policy.COUPLED, Policy.DECOUPLED):

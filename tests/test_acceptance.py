@@ -44,15 +44,14 @@ from hetmec.association import (
     Tier,
     coupled_probs,
     decoupled_probs,
+    association_report,
     marginals,
-    mean_load,
 )
 from hetmec.config import default_params, params_from_raw
 from hetmec.coverage import (
     DlCoverageForm,
     dl_coverage,
     ul_coverage,
-    ul_coverage_interference_limited,
 )
 from hetmec.latency import (
     QueueUnstable,
@@ -63,6 +62,7 @@ from hetmec.latency import (
 )
 from hetmec.montecarlo import empirical_coverage
 from hetmec.validate import run_validation
+from oracles import ul_coverage_interference_limited
 
 DEFAULTS = default_params()
 
@@ -385,7 +385,7 @@ def test_criterion_6_capacity_ratio_claims():
     reference_point = operating_point(reference)
     arrival_ul = (
         reference_point.ul_rate[Policy.DECOUPLED, Tier.SMALL]
-        * mean_load(reference, Policy.DECOUPLED, Link.UL, Tier.SMALL)
+        * association_report(reference).load[Policy.DECOUPLED, Link.UL, Tier.SMALL]
         / reference.input_bits
     )
     arrival_dl = reference_point.dl_arrival[Tier.SMALL]

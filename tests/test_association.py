@@ -13,11 +13,10 @@ from hetmec.association import (
     coupled_probs,
     decoupled_probs,
     marginals,
-    mean_load,
     power_ratio_factor,
-    serving_distance_pdf,
 )
 from hetmec.config import params_from_raw
+from oracles import serving_distance_pdf
 
 DEFAULTS = params_from_raw({})
 
@@ -123,18 +122,19 @@ def test_marginal_identities_fuzzed():
 
 
 def test_mean_load_reference_values():
-    assert mean_load(DEFAULTS, Policy.COUPLED, Link.UL, Tier.SMALL) == pytest.approx(
+    load = association_report(DEFAULTS).load
+    assert load[Policy.COUPLED, Link.UL, Tier.SMALL] == pytest.approx(
         25.0 * 0.613136820153143 / 10.0, rel=1e-9
     )
-    assert mean_load(DEFAULTS, Policy.COUPLED, Link.UL, Tier.SMALL) == pytest.approx(1.5328, abs=1e-4)
-    assert mean_load(DEFAULTS, Policy.COUPLED, Link.UL, Tier.MACRO) == pytest.approx(9.6716, abs=1e-4)
-    assert mean_load(DEFAULTS, Policy.DECOUPLED, Link.UL, Tier.SMALL) == pytest.approx(
-        25.0 / 11.0, rel=1e-12
-    )
+    assert load[Policy.COUPLED, Link.UL, Tier.SMALL] == pytest.approx(1.5328, abs=1e-4)
+    assert load[Policy.COUPLED, Link.UL, Tier.MACRO] == pytest.approx(9.6716, abs=1e-4)
+    assert load[Policy.DECOUPLED, Link.UL, Tier.SMALL] == pytest.approx(25.0 / 11.0, rel=1e-12)
     # association probability 1 and matching densities give one user per BS
-    single = scenario(lambda_s_per_km2=0.0, lambda_u_per_km2=1.0, lambda_m_per_km2=1.0)
-    assert mean_load(single, Policy.COUPLED, Link.UL, Tier.MACRO) == pytest.approx(1.0, rel=1e-12)
-    assert mean_load(single, Policy.COUPLED, Link.UL, Tier.SMALL) == 0.0
+    single = association_report(
+        scenario(lambda_s_per_km2=0.0, lambda_u_per_km2=1.0, lambda_m_per_km2=1.0)
+    ).load
+    assert single[Policy.COUPLED, Link.UL, Tier.MACRO] == pytest.approx(1.0, rel=1e-12)
+    assert single[Policy.COUPLED, Link.UL, Tier.SMALL] == 0.0
 
 
 @pytest.mark.parametrize("policy", list(Policy))

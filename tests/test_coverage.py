@@ -11,7 +11,6 @@ from hetmec.association import (
     decoupled_probs,
     distance_pdf_slope,
     marginals,
-    serving_distance_pdf,
     tier_params,
 )
 from hetmec.config import params_from_raw
@@ -19,13 +18,16 @@ from hetmec.coverage import (
     DlCoverageForm,
     _ul_coverage_with_density,
     dl_coverage,
-    dl_coverage_interference_limited,
     psi,
     thinned_user_density,
     ul_coverage,
-    ul_coverage_interference_limited,
 )
 from hetmec.latency import operating_point
+from oracles import (
+    dl_coverage_interference_limited,
+    serving_distance_pdf,
+    ul_coverage_interference_limited,
+)
 
 DEFAULTS = params_from_raw({})
 GAMMA_GRID_DB = np.linspace(-20.0, 10.0, 20)
@@ -106,7 +108,7 @@ def test_dl_interference_form_closed_form():
     for tier in Tier:
         cov = dl_coverage(quiet, tier, gamma, form=DlCoverageForm.INTERFERENCE)
         assert cov == pytest.approx(
-            dl_coverage_interference_limited(quiet, gamma), abs=1e-8
+            dl_coverage_interference_limited(gamma), abs=1e-8
         )
         assert cov == pytest.approx(1.0 / (1.0 + psi(gamma)), abs=1e-8)
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hetmec.association import Link, Policy, Tier, decoupled_probs, mean_load
+from hetmec.association import Link, Policy, Tier, association_report, decoupled_probs
 from hetmec.config import params_from_raw
 from hetmec.coverage import DlCoverageForm, dl_coverage, ul_coverage
 from hetmec.latency import (
@@ -81,10 +81,10 @@ def test_ul_rate_recomposes_from_factors():
     point = operating_point(DEFAULTS)
     for policy in Policy:
         for tier in Tier:
-            load = mean_load(DEFAULTS, policy, Link.UL, tier)
+            load = association_report(DEFAULTS).load[policy, Link.UL, tier]
             cov = ul_coverage(DEFAULTS, policy, tier, gamma)
             expected = DEFAULTS.ul_bandwidth / load * spectral_efficiency(gamma) * cov
-            assert point.ul_load[policy, tier] == load
+            assert point.assoc.load[policy, Link.UL, tier] == load
             assert point.ul_coverage[policy, tier] == cov
             assert point.ul_rate[policy, tier] == pytest.approx(expected, rel=1e-12)
 
@@ -109,7 +109,7 @@ def test_dl_rate_policy_equivalence_for_small_tier():
 
 def test_dl_rate_recomposes_from_factors():
     gamma = DEFAULTS.dl_sinr_threshold
-    load = mean_load(DEFAULTS, Policy.COUPLED, Link.DL, Tier.MACRO)
+    load = association_report(DEFAULTS).load[Policy.COUPLED, Link.DL, Tier.MACRO]
     cov = dl_coverage(DEFAULTS, Tier.MACRO, gamma)
     expected = DEFAULTS.dl_bandwidth / load * spectral_efficiency(gamma) * cov
     point = operating_point(DEFAULTS)
@@ -122,7 +122,7 @@ def test_coupled_exec_time_recomposes():
     point = operating_point(p)
     for tier in Tier:
         rate = point.ul_rate[Policy.COUPLED, tier]
-        load = mean_load(p, Policy.COUPLED, Link.UL, tier)
+        load = association_report(p).load[Policy.COUPLED, Link.UL, tier]
         mu = service_rate(p, tier)
         expected = 1.0 / (mu - rate * load / p.input_bits)
         case = case_latency(point, Scheme.COUPLED_ACCESS, tier, tier)
@@ -146,7 +146,7 @@ def test_dl_proc_arrival_and_exec_time_recompose():
     lam_u, lam_s = p.user_density, p.small.density
 
     tau_macro = (
-        rate_m * mean_load(p, Policy.DECOUPLED, Link.UL, Tier.MACRO)
+        rate_m * association_report(p).load[Policy.DECOUPLED, Link.UL, Tier.MACRO]
         + rate_s * (lam_u / lam_s) * a_sm
     ) / p.input_bits
     assert point.dl_arrival[Tier.MACRO] == pytest.approx(tau_macro, rel=1e-12)
@@ -165,7 +165,8 @@ def test_dl_proc_small_arrival_below_ul_proc_small_arrival():
     p = scenario(**MINUS_10_DB)
     point = operating_point(p)
     rate_s = point.ul_rate[Policy.DECOUPLED, Tier.SMALL]
-    tau_ul = rate_s * mean_load(p, Policy.DECOUPLED, Link.UL, Tier.SMALL) / p.input_bits
+    load = association_report(p).load[Policy.DECOUPLED, Link.UL, Tier.SMALL]
+    tau_ul = rate_s * load / p.input_bits
     assert point.ul_arrival[Policy.DECOUPLED, Tier.SMALL] == pytest.approx(tau_ul, rel=1e-12)
     assert point.dl_arrival[Tier.SMALL] < tau_ul
 
@@ -352,7 +353,7 @@ def test_user_density_cannot_destabilize_queues():
     for lam_u in (25.0, 100.0, 400.0, 1600.0):
         p = scenario(lambda_u_per_km2=lam_u, **MINUS_10_DB)
         rate = operating_point(p).ul_rate[Policy.COUPLED, Tier.SMALL]
-        load = mean_load(p, Policy.COUPLED, Link.UL, Tier.SMALL)
+        load = association_report(p).load[Policy.COUPLED, Link.UL, Tier.SMALL]
         taus.append(rate * load / p.input_bits)
         exec_time(p, Scheme.COUPLED_ACCESS, Tier.SMALL)  # never raises
         exec_time(p, Scheme.DECOUPLED_UL_PROC, Tier.SMALL)

@@ -4,18 +4,26 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from hetmec.association import Link, Policy, Tier, coupled_probs, decoupled_probs, mean_load
+from hetmec.association import (
+    Link,
+    Policy,
+    Tier,
+    association_report,
+    coupled_probs,
+    decoupled_probs,
+)
 from hetmec.config import params_from_raw
 from hetmec.coverage import DlCoverageForm, dl_coverage, ul_coverage
 from hetmec.montecarlo import (
     _INTERFERER_SPAN,
     _VOID_LOG,
     _far_field_exponent,
+    _mean_loads_by_rule,
     _nearest_distances,
     _rng,
+    _serving_rule,
     empirical_association,
     empirical_coverage,
-    empirical_mean_load,
 )
 
 DEFAULTS = params_from_raw({})
@@ -214,13 +222,23 @@ def test_window_doubling_changes_estimate_within_noise():
     assert abs(a.mean - b.mean) < 2.0 * math.hypot(a.std_error, b.std_error)
 
 
+def test_narrow_window_keeps_outer_radius_beyond_exclusion():
+    # Below window_scale 2/3 the scaled outer radius would fall inside the
+    # exclusion radius and the interferer count would get a negative mean.
+    est = empirical_coverage(
+        DEFAULTS, Policy.COUPLED, Link.UL, Tier.MACRO, 0.1, 200, seed=1, window_scale=0.5
+    )
+    assert 0.0 <= est.mean <= 1.0
+
+
 def test_empirical_mean_load_matches_closed_forms():
     for policy, link, tier, seed in [
         (Policy.COUPLED, Link.UL, Tier.SMALL, 21),
         (Policy.DECOUPLED, Link.UL, Tier.MACRO, 22),
     ]:
-        est = empirical_mean_load(DEFAULTS, policy, link, tier, trials=400, seed=seed)
-        target = mean_load(DEFAULTS, policy, link, tier)
+        loads = _mean_loads_by_rule(DEFAULTS, trials=400, seed=seed)
+        est = loads[_serving_rule(policy, link)][tier]
+        target = association_report(DEFAULTS).load[policy, link, tier]
         assert abs(est.mean - target) < 3.0 * est.std_error
 
 
@@ -228,20 +246,20 @@ def test_empirical_load_user_conservation():
     # loads weighted by BS density must add back to the user density
     lam_m = DEFAULTS.macro.density
     lam_s = DEFAULTS.small.density
-    small = empirical_mean_load(DEFAULTS, Policy.COUPLED, Link.UL, Tier.SMALL, trials=400, seed=23)
-    macro = empirical_mean_load(DEFAULTS, Policy.COUPLED, Link.UL, Tier.MACRO, trials=400, seed=23)
+    loads = _mean_loads_by_rule(DEFAULTS, trials=400, seed=23)["power"]
+    small, macro = loads[Tier.SMALL], loads[Tier.MACRO]
     total = small.mean * lam_s + macro.mean * lam_m
     se = math.hypot(small.std_error * lam_s, macro.std_error * lam_m)
     assert abs(total - DEFAULTS.user_density) < 4.0 * se
 
 
 def test_empirical_mean_load_bit_reproducible():
-    a = empirical_mean_load(DEFAULTS, Policy.COUPLED, Link.UL, Tier.SMALL, trials=60, seed=24)
-    b = empirical_mean_load(DEFAULTS, Policy.COUPLED, Link.UL, Tier.SMALL, trials=60, seed=24)
+    a = _mean_loads_by_rule(DEFAULTS, trials=60, seed=24)
+    b = _mean_loads_by_rule(DEFAULTS, trials=60, seed=24)
     assert a == b
 
 
 def test_zero_density_tier_load_is_zero():
     p = params_from_raw({"lambda_s_per_km2": 0.0})
-    est = empirical_mean_load(p, Policy.COUPLED, Link.UL, Tier.SMALL, trials=30, seed=25)
+    est = _mean_loads_by_rule(p, trials=30, seed=25)["power"][Tier.SMALL]
     assert est.mean == 0.0 and est.std_error == 0.0

@@ -4,11 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from hetmec import latency
+from hetmec import association, latency
 from hetmec.config import RAW_DEFAULTS, ConfigError, default_params, params_from_raw
 from hetmec.coverage import DlCoverageForm
 from hetmec.latency import Scheme
-from hetmec.sweeps import SweepSpec, figure_sweep_spec, resolve_point, run_sweep, sweep_csv
+from hetmec.sweeps import SweepSpec, figure_sweep_spec, resolve_point_raw, run_sweep, sweep_csv
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +103,24 @@ def test_each_grid_point_evaluates_six_coverages(monkeypatch):
     assert calls == {"ul": 4 * points, "dl": 2 * points}
 
 
+def test_each_grid_point_computes_its_association_law_once(monkeypatch):
+    # The operating point's one association report calls coupled_probs
+    # directly and once more through decoupled_probs; every scheme, rate and
+    # load reads that report.
+    calls = Counter()
+    original = association.coupled_probs
+
+    def counted(params):
+        calls["coupled_probs"] += 1
+        return original(params)
+
+    monkeypatch.setattr(association, "coupled_probs", counted)
+    spec = figure_sweep_spec(2)
+    run_sweep(spec)
+    points = len(spec.values) * len(spec.variants)
+    assert calls["coupled_probs"] <= 2 * points
+
+
 def test_fig3_runs_to_ratio_100_and_gap_shrinks():
     # The user density is lifted to the total BS density on the dense end of
     # the grid, so every point is evaluable; the coupled/decoupled gap must
@@ -170,7 +188,7 @@ def test_auto_user_density_lifts_to_exactly_the_bs_density():
     rows = run_sweep(spec)
     assert [r.axis_value for r in rows] == [9.0, 12.0, 14.0]
     assert all(math.isfinite(r.total) for r in rows)
-    lifted = resolve_point(spec, dict(RAW_DEFAULTS), 9.0, {})
+    lifted = params_from_raw(resolve_point_raw(spec, dict(RAW_DEFAULTS), 9.0, {}))
     assert lifted.user_density == pytest.approx(10.0e-6, rel=1e-15)
 
 
