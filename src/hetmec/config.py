@@ -6,6 +6,12 @@ use field-friendly units (dBm, dB, per km2) and are converted exactly once,
 here.  Path loss is pure x**(-alpha) with x in meters; no reference-distance
 constant is applied, so absolute SINR values are only meaningful relative to
 the Monte Carlo validator, which uses the same convention.
+
+`params_from_raw` only parses and converts; every scenario invariant is
+checked once, by `ScenarioParams` itself, so a scenario built directly in SI
+units is held to the same rules.  Each violation raises `ConfigError` naming
+the configuration key it comes from, and `params_from_raw` adds the raw
+value of that key to the message.
 """
 from __future__ import annotations
 
@@ -73,20 +79,15 @@ class TierParams:
     tx_power: float           # watts
     cloudlet_capacity: float  # CPU cycles per second
 
-    def __post_init__(self):
-        if self.density < 0.0:
-            raise ValueError(f"tier density must be >= 0, got {self.density}")
-        if self.tx_power <= 0.0:
-            raise ValueError(f"tier tx_power must be > 0, got {self.tx_power}")
-        if self.cloudlet_capacity <= 0.0:
-            raise ValueError(
-                f"tier cloudlet_capacity must be > 0, got {self.cloudlet_capacity}"
-            )
-
 
 @dataclass(frozen=True)
 class ScenarioParams:
     """Validated scenario in SI units; immutable, safe to share across threads.
+
+    Construction checks every invariant of the model, the fields of both
+    tiers included, and raises `ConfigError` with `key` set to the
+    configuration key of the offending field.  This is the only place a
+    scenario is checked.
 
     The number of CPU cycles per offloaded request is configured as
     cycles_per_input_bit so that sweeps over input_bits rescale the request
@@ -110,48 +111,70 @@ class ScenarioParams:
     backhaul_mode: BackhaulMode = BackhaulMode.CROSS_TIER_ONLY
 
     def __post_init__(self):
-        if self.macro.density <= 0.0:
-            raise ValueError("macro tier density must be > 0")
+        # Each SI field under the configuration key it is converted from.
         positive = {
-            "user_density": self.user_density,
-            "user_tx_power": self.user_tx_power,
-            "ul_bandwidth": self.ul_bandwidth,
-            "dl_bandwidth": self.dl_bandwidth,
-            "noise_power": self.noise_power,
-            "input_bits": self.input_bits,
-            "output_bits": self.output_bits,
+            "lambda_m_per_km2": self.macro.density,
+            "lambda_u_per_km2": self.user_density,
+            "p_m_dbm": self.macro.tx_power,
+            "p_s_dbm": self.small.tx_power,
+            "p_u_dbm": self.user_tx_power,
+            "f_m_hz": self.macro.cloudlet_capacity,
+            "f_s_hz": self.small.cloudlet_capacity,
+            "w_ul_hz": self.ul_bandwidth,
+            "w_dl_hz": self.dl_bandwidth,
+            "noise_dbm": self.noise_power,
+            "b_in_bits": self.input_bits,
+            "b_out_bits": self.output_bits,
             "cycles_per_input_bit": self.cycles_per_input_bit,
-            "backhaul_capacity": self.backhaul_capacity,
-            "ul_sinr_threshold": self.ul_sinr_threshold,
-            "dl_sinr_threshold": self.dl_sinr_threshold,
+            "c_bh_bps": self.backhaul_capacity,
+            "gamma_ul_db": self.ul_sinr_threshold,
+            "gamma_dl_db": self.dl_sinr_threshold,
         }
-        for name, value in positive.items():
-            if not (value > 0.0) or not math.isfinite(value):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.pathloss_exponent != 4.0:
-            raise ValueError(
-                "pathloss_exponent must be exactly 4; the interference factor "
-                "sqrt(g)*arctan(sqrt(g)) used by the coverage integrals is "
-                f"specific to that exponent (got {self.pathloss_exponent})"
+        for key, value in positive.items():
+            if not (0.0 < value < math.inf):
+                raise ConfigError(
+                    f"key {key!r}: must be a positive finite quantity in SI units, got {value!r}",
+                    key=key,
+                )
+        if not (0.0 <= self.small.density < math.inf):
+            raise ConfigError(
+                f"key 'lambda_s_per_km2': must be >= 0 and finite, got {self.small.density!r}",
+                key="lambda_s_per_km2",
             )
-        total_bs = self.macro.density + self.small.density
+        if self.pathloss_exponent != 4.0:
+            raise ConfigError(
+                "key 'alpha': only a path-loss exponent of exactly 4 is "
+                "supported; the interference factor sqrt(g)*arctan(sqrt(g)) "
+                f"of the coverage closed forms is specific to it (got {self.pathloss_exponent!r})",
+                key="alpha",
+            )
         if not _covers_bs_density(self.user_density, self.macro.density, self.small.density):
-            raise ValueError(
-                "user_density must be at least the total BS density so the "
-                "active-uplink thinning probability (lambda_m + lambda_s) / "
-                f"lambda_u stays <= 1 (got {self.user_density} < {total_bs})"
+            raise ConfigError(
+                "key 'lambda_u_per_km2': user density must be at least "
+                "lambda_m_per_km2 + lambda_s_per_km2 so the active-uplink "
+                f"thinning probability stays <= 1 (got {self.user_density!r} per m2, "
+                f"needs >= {self.macro.density + self.small.density!r} per m2)",
+                key="lambda_u_per_km2",
             )
         if self.macro.cloudlet_capacity < self.small.cloudlet_capacity:
-            raise ValueError(
-                "macro cloudlet_capacity must be >= small cloudlet_capacity "
-                f"(got {self.macro.cloudlet_capacity} < {self.small.cloudlet_capacity})"
+            raise ConfigError(
+                "key 'f_s_hz': small-cell cloudlet capacity must not exceed the macro "
+                f"cloudlet capacity (got {self.small.cloudlet_capacity!r} > "
+                f"{self.macro.cloudlet_capacity!r})",
+                key="f_s_hz",
             )
         if self.macro.tx_power < self.small.tx_power:
-            raise ValueError(
-                "macro tx_power must be >= small tx_power; the zero "
-                "probability of the (macro uplink, small downlink) "
-                "association case relies on it "
-                f"(got {self.macro.tx_power} < {self.small.tx_power})"
+            raise ConfigError(
+                "key 'p_m_dbm': macro power must be >= small-cell power; the zero "
+                "probability of the (macro uplink, small downlink) association case "
+                f"relies on it (got {self.macro.tx_power!r} W < {self.small.tx_power!r} W)",
+                key="p_m_dbm",
+            )
+        if not math.isfinite(self.macro.tx_power / self.small.tx_power):
+            raise ConfigError(
+                "key 'p_m_dbm': the macro to small-cell power ratio overflows "
+                f"({self.macro.tx_power!r} W / {self.small.tx_power!r} W)",
+                key="p_m_dbm",
             )
 
     @property
@@ -160,31 +183,9 @@ class ScenarioParams:
         return self.cycles_per_input_bit * self.input_bits
 
 
-# Configuration keys, in canonical emission order, with the unit conversion
-# applied at ingestion.  Values in the file are plain numbers except
-# backhaul_mode, which takes "cross_tier_only" or "always".
-CONFIG_KEYS: tuple[str, ...] = (
-    "lambda_m_per_km2",
-    "lambda_s_per_km2",
-    "lambda_u_per_km2",
-    "p_m_dbm",
-    "p_s_dbm",
-    "p_u_dbm",
-    "f_m_hz",
-    "f_s_hz",
-    "w_ul_hz",
-    "w_dl_hz",
-    "noise_dbm",
-    "alpha",
-    "b_in_bits",
-    "b_out_bits",
-    "cycles_per_input_bit",
-    "c_bh_bps",
-    "gamma_ul_db",
-    "gamma_dl_db",
-    "backhaul_mode",
-)
-
+# Configuration keys, in canonical emission order, with their defaults.
+# Values in the file are plain numbers except backhaul_mode, which takes
+# "cross_tier_only" or "always".
 RAW_DEFAULTS: dict[str, float | str] = {
     "lambda_m_per_km2": 1.0,
     "lambda_s_per_km2": 10.0,
@@ -240,10 +241,12 @@ def parse_config_text(text: str) -> dict[str, float | str]:
 
 
 def params_from_raw(raw: dict[str, float | str]) -> ScenarioParams:
-    """Convert a raw config mapping to SI and validate every invariant.
+    """Convert a raw config mapping to SI units and build the scenario.
 
-    Errors name the offending key and quote both the raw and the converted
-    value so unit mistakes are visible at a glance.
+    Only unknown keys, non-numeric or non-finite values, a bad backhaul_mode
+    and unit conversions that overflow are caught here; every other check is
+    made by `ScenarioParams`.  A `ConfigError` it raises gains the raw value
+    of its key, so unit mistakes are visible at a glance.
     """
     merged: dict[str, float | str] = dict(RAW_DEFAULTS)
     for key in raw:
@@ -251,11 +254,13 @@ def params_from_raw(raw: dict[str, float | str]) -> ScenarioParams:
             raise ConfigError(f"unknown key {key!r}", key=key)
         merged[key] = raw[key]
 
-    def num(key: str) -> float:
-        value = merged[key]
+    num: dict[str, float] = {}
+    for key, value in merged.items():
+        if key == "backhaul_mode":
+            continue
         if not isinstance(value, (int, float)) or not math.isfinite(float(value)):
             raise ConfigError(f"key {key!r}: expected a finite number, got {value!r}", key=key)
-        return float(value)
+        num[key] = float(value)
 
     mode_text = str(merged["backhaul_mode"]).lower()
     try:
@@ -266,89 +271,42 @@ def params_from_raw(raw: dict[str, float | str]) -> ScenarioParams:
             key="backhaul_mode",
         ) from None
 
-    def positive(key: str, converted: float, raw_value: float) -> float:
-        if not (converted > 0.0):
-            raise ConfigError(
-                f"key {key!r}: must convert to a positive quantity "
-                f"(raw {raw_value!r} -> {converted!r})",
-                key=key,
-            )
-        return converted
-
-    lam_m_raw = num("lambda_m_per_km2")
-    lam_s_raw = num("lambda_s_per_km2")
-    lam_u_raw = num("lambda_u_per_km2")
-    lam_m = positive("lambda_m_per_km2", lam_m_raw * PER_KM2, lam_m_raw)
-    if lam_s_raw < 0.0:
-        raise ConfigError(
-            f"key 'lambda_s_per_km2': must be >= 0 (got {lam_s_raw!r})",
-            key="lambda_s_per_km2",
-        )
-    lam_s = lam_s_raw * PER_KM2
-    lam_u = positive("lambda_u_per_km2", lam_u_raw * PER_KM2, lam_u_raw)
-    if not _covers_bs_density(lam_u, lam_m, lam_s):
-        raise ConfigError(
-            "key 'lambda_u_per_km2': user density must be at least "
-            "lambda_m_per_km2 + lambda_s_per_km2 so the active-uplink "
-            "thinning probability stays <= 1 "
-            f"(raw {lam_u_raw!r} per km2 -> {lam_u!r} per m2, "
-            f"needs >= {(lam_m + lam_s)!r} per m2)",
-            key="lambda_u_per_km2",
-        )
-
-    p_m = positive("p_m_dbm", dbm_to_watts(num("p_m_dbm")), num("p_m_dbm"))
-    p_s = positive("p_s_dbm", dbm_to_watts(num("p_s_dbm")), num("p_s_dbm"))
-    p_u = positive("p_u_dbm", dbm_to_watts(num("p_u_dbm")), num("p_u_dbm"))
-    if p_m < p_s:
-        raise ConfigError(
-            "key 'p_m_dbm': macro power must be >= small-cell power "
-            f"(raw {num('p_m_dbm')!r} dBm -> {p_m!r} W against "
-            f"{num('p_s_dbm')!r} dBm -> {p_s!r} W)",
-            key="p_m_dbm",
-        )
-
-    alpha = num("alpha")
-    if alpha != 4.0:
-        raise ConfigError(
-            "key 'alpha': only a path-loss exponent of exactly 4 is "
-            "supported; the coverage closed forms have no general-alpha "
-            f"counterpart here (got {alpha!r})",
-            key="alpha",
-        )
-
-    f_m = positive("f_m_hz", num("f_m_hz"), num("f_m_hz"))
-    f_s = positive("f_s_hz", num("f_s_hz"), num("f_s_hz"))
-    if f_m < f_s:
-        raise ConfigError(
-            "key 'f_s_hz': small-cell cloudlet capacity must not exceed the "
-            f"macro cloudlet capacity (got {f_s!r} > {f_m!r})",
-            key="f_s_hz",
-        )
+    def convert(key: str, to_si) -> float:
+        try:
+            return to_si(num[key])
+        except OverflowError:
+            raise ConfigError(f"key {key!r}: overflows in SI units", key=key) from None
 
     try:
         return ScenarioParams(
-            macro=TierParams(density=lam_m, tx_power=p_m, cloudlet_capacity=f_m),
-            small=TierParams(density=lam_s, tx_power=p_s, cloudlet_capacity=f_s),
-            user_density=lam_u,
-            user_tx_power=p_u,
-            ul_bandwidth=positive("w_ul_hz", num("w_ul_hz"), num("w_ul_hz")),
-            dl_bandwidth=positive("w_dl_hz", num("w_dl_hz"), num("w_dl_hz")),
-            noise_power=positive("noise_dbm", dbm_to_watts(num("noise_dbm")), num("noise_dbm")),
-            pathloss_exponent=alpha,
-            input_bits=positive("b_in_bits", num("b_in_bits"), num("b_in_bits")),
-            output_bits=positive("b_out_bits", num("b_out_bits"), num("b_out_bits")),
-            cycles_per_input_bit=positive(
-                "cycles_per_input_bit", num("cycles_per_input_bit"), num("cycles_per_input_bit")
+            macro=TierParams(
+                density=num["lambda_m_per_km2"] * PER_KM2,
+                tx_power=convert("p_m_dbm", dbm_to_watts),
+                cloudlet_capacity=num["f_m_hz"],
             ),
-            backhaul_capacity=positive("c_bh_bps", num("c_bh_bps"), num("c_bh_bps")),
-            ul_sinr_threshold=db_to_linear(num("gamma_ul_db")),
-            dl_sinr_threshold=db_to_linear(num("gamma_dl_db")),
+            small=TierParams(
+                density=num["lambda_s_per_km2"] * PER_KM2,
+                tx_power=convert("p_s_dbm", dbm_to_watts),
+                cloudlet_capacity=num["f_s_hz"],
+            ),
+            user_density=num["lambda_u_per_km2"] * PER_KM2,
+            user_tx_power=convert("p_u_dbm", dbm_to_watts),
+            ul_bandwidth=num["w_ul_hz"],
+            dl_bandwidth=num["w_dl_hz"],
+            noise_power=convert("noise_dbm", dbm_to_watts),
+            pathloss_exponent=num["alpha"],
+            input_bits=num["b_in_bits"],
+            output_bits=num["b_out_bits"],
+            cycles_per_input_bit=num["cycles_per_input_bit"],
+            backhaul_capacity=num["c_bh_bps"],
+            ul_sinr_threshold=convert("gamma_ul_db", db_to_linear),
+            dl_sinr_threshold=convert("gamma_dl_db", db_to_linear),
             backhaul_mode=mode,
         )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    except ConfigError as exc:
+        # Quote the raw value in place, so the error keeps its type and key.
+        exc.args = (f"{exc} (raw {exc.key} = {merged[exc.key]!r})",) + exc.args[1:]
+        raise
 
 
 def parse_config(text: str) -> ScenarioParams:
@@ -393,7 +351,7 @@ def canonical_config(params: ScenarioParams) -> str:
     """
     raw = raw_from_params(params)
     lines = []
-    for key in CONFIG_KEYS:
+    for key in RAW_DEFAULTS:
         value = raw[key]
         lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
     return "\n".join(lines) + "\n"

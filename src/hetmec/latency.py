@@ -71,7 +71,8 @@ class OperatingPoint:
 
     `assoc` holds the case probabilities and every (policy, link, tier) load.
     The other entries exist only for `tiers`, the tiers with positive
-    density.  Rates are bits/s per user.  Arrival rates are requests/s into a
+    density, and the rates and `ul_arrival` only where the load is positive.
+    Rates are bits/s per user.  Arrival rates are requests/s into a
     cloudlet: `ul_arrival` at the uplink BS (which executes under coupled
     access and DECOUPLED_UL_PROC), `dl_arrival` at the downlink BS (which
     executes under DECOUPLED_DL_PROC).
@@ -111,24 +112,27 @@ def operating_point(
     keys = [(policy, tier) for policy in Policy for tier in tiers]
     assoc = association_report(params)
     ul_load = {(policy, tier): assoc.load[policy, Link.UL, tier] for policy, tier in keys}
+    dl_load = {(policy, tier): assoc.load[policy, Link.DL, tier] for policy, tier in keys}
 
+    # A zero load (its probability underflowed) gets no rate: every case that
+    # would read it has weight zero, so scheme_cases never returns it.
     ul_cov = {key: ul_coverage(params, *key, gamma_ul) for key in keys}
     ul_rate = {
-        key: params.ul_bandwidth / ul_load[key] * spectral_efficiency(gamma_ul) * ul_cov[key]
-        for key in keys
+        key: params.ul_bandwidth / load * spectral_efficiency(gamma_ul) * ul_cov[key]
+        for key, load in ul_load.items()
+        if load > 0.0
     }
     dl_cov = {tier: dl_coverage(params, tier, gamma_dl, form=form) for tier in tiers}
     dl_rate = {
-        (policy, tier): params.dl_bandwidth
-        / assoc.load[policy, Link.DL, tier]
-        * spectral_efficiency(gamma_dl)
-        * dl_cov[tier]
-        for policy, tier in keys
+        key: params.dl_bandwidth / load * spectral_efficiency(gamma_dl) * dl_cov[key[1]]
+        for key, load in dl_load.items()
+        if load > 0.0
     }
-    ul_arrival = {key: ul_rate[key] * ul_load[key] / params.input_bits for key in keys}
+    ul_arrival = {key: ul_rate[key] * ul_load[key] / params.input_bits for key in ul_rate}
 
+    # A tier with no uplink rate has no uplink users whose requests to count.
     macro = (Policy.DECOUPLED, Tier.MACRO)
-    own = ul_rate[macro] * ul_load[macro]
+    own = ul_rate.get(macro, 0.0) * ul_load[macro]
     if Tier.SMALL not in tiers:
         dl_arrival = {Tier.MACRO: own / params.input_bits}
     else:
@@ -136,7 +140,7 @@ def operating_point(
         # so that a vanishing small-cell density cannot overflow.
         split_users = params.user_density * assoc.a_sm_u / params.small.density
         kept_users = params.user_density * assoc.a_ss_u / params.small.density
-        rate_s = ul_rate[Policy.DECOUPLED, Tier.SMALL]
+        rate_s = ul_rate.get((Policy.DECOUPLED, Tier.SMALL), 0.0)
         dl_arrival = {
             Tier.MACRO: (own + rate_s * split_users) / params.input_bits,
             Tier.SMALL: rate_s * kept_users / params.input_bits,

@@ -77,23 +77,15 @@ def _row(name: str, analytic: float, estimate: mc_mod.McEstimate) -> ValidationR
     return ValidationRow(name, analytic, estimate.mean, estimate.std_error, _z(analytic, estimate))
 
 
-def run_validation(
-    params: ScenarioParams,
-    trials: int,
-    seed: int = 0,
-    coverage_trials: int | None = None,
-    load_trials: int | None = None,
-) -> ValidationReport:
+def run_validation(params: ScenarioParams, trials: int, seed: int = 0) -> ValidationReport:
     """Run every analytic-vs-empirical comparison and collect the rows.
 
-    `trials` drives the association tallies; coverage and per-cell load
-    measurements default to budgets that keep the full run to a few
-    seconds at trials = 1e5.
+    `trials` drives the association tallies and each coverage estimate; the
+    per-cell loads take max(160, trials // 400) realizations, which keeps the
+    full run to a few seconds at trials = 1e5.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    coverage_trials = coverage_trials if coverage_trials is not None else trials
-    load_trials = load_trials if load_trials is not None else max(160, trials // 400)
     rows: list[ValidationRow] = []
     notes: list[str] = []
     has_small = params.small.density > 0.0
@@ -118,7 +110,7 @@ def run_validation(
     # Per-cell loads: one realization covers both rules and both tiers; the
     # downlink marginals of the decoupled policy obey the same max-power
     # rule as the coupled policy, so they reuse the same measurement.
-    loads = mc_mod._mean_loads_by_rule(params, load_trials, seed + 1)
+    loads = mc_mod._mean_loads_by_rule(params, max(160, trials // 400), seed + 1)
     power_loads, nearest_loads = loads["power"], loads["nearest"]
     load_specs = [
         ("load_coupled_small", (Policy.COUPLED, Link.UL, Tier.SMALL), power_loads[Tier.SMALL]),
@@ -133,6 +125,10 @@ def run_validation(
             continue
         rows.append(_row(name, report.load[policy, link, tier], estimate))
 
+    # The sampler sees the policy only through its serving rule, and the
+    # downlink follows the max-power rule under both policies, so one estimate
+    # per tier serves both DL rows of that tier, as with the loads above.
+    estimates: dict[tuple[str, Link, Tier], mc_mod.McEstimate] = {}
     combo_seed = seed + 10
     for policy in (Policy.COUPLED, Policy.DECOUPLED):
         for link in (Link.UL, Link.DL):
@@ -152,9 +148,13 @@ def run_validation(
                     notes.append(
                         f"scaled_noise dl coverage {policy.value}/{tier.value}: {scaled:.6f}"
                     )
-                estimate = mc_mod.empirical_coverage(
-                    params, policy, link, tier, gamma, coverage_trials, seed=combo_seed
-                )
+                key = (mc_mod._serving_rule(policy, link), link, tier)
+                if key not in estimates:
+                    estimates[key] = mc_mod.empirical_coverage(
+                        params, policy, link, tier, gamma, trials, seed=combo_seed
+                    )
+                    combo_seed += 1
+                estimate = estimates[key]
                 name = f"coverage_{link.value}_{policy.value}_{tier.value}"
                 rows.append(_row(name, analytic, estimate))
                 notes.append(
@@ -163,7 +163,6 @@ def run_validation(
                     f" {estimate.interferers} ({estimate.interferers / estimate.trials:.2f}"
                     f" per accepted trial), empty-tier redraws {estimate.resampled}"
                 )
-                combo_seed += 1
 
     return ValidationReport(
         rows=tuple(rows),

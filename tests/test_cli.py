@@ -56,6 +56,40 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "thinning" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("p_m_dbm = 4000\n", "p_m_dbm"),
+        ("gamma_ul_db = 4000\n", "gamma_ul_db"),
+        ("p_m_dbm = 3000\np_s_dbm = -3000\n", "p_m_dbm"),
+    ],
+)
+def test_overflowing_config_exits_with_config_error(tmp_path, capsys, text, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["analytic", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: key {key!r}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p_m_dbm = 1500\np_s_dbm = -1500\nlambda_s_per_km2 = 1e-300\n",
+        "lambda_m_per_km2 = 1e300\nlambda_s_per_km2 = 1e-300\nlambda_u_per_km2 = 2e300\n",
+        "lambda_m_per_km2 = 1e-300\nlambda_s_per_km2 = 1e300\nlambda_u_per_km2 = 2e300\n",
+    ],
+)
+def test_underflowed_association_probability_still_reports(tmp_path, capsys, text):
+    # An association probability, and with it a load, underflows to 0.
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(text)
+    assert main(["analytic", "--config", str(cfg)]) == 0
+    report = parse_report(capsys.readouterr().out)
+    assert 0.0 in [value for key, value in report.items() if key.startswith("load.")]
+    for scheme in ("coupled_access", "decoupled_ul_proc", "decoupled_dl_proc"):
+        assert math.isfinite(report[f"average.{scheme}.total_s"])
+
+
 def test_unknown_key_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("lambda_q_per_km2 = 2\n")

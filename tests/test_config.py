@@ -201,8 +201,34 @@ def test_direct_construction_validates_invariants():
             ul_sinr_threshold=0.1,
             dl_sinr_threshold=0.1,
         )
-    with pytest.raises(ValueError):
-        TierParams(density=-1.0, tx_power=1.0, cloudlet_capacity=1.0)
+    # A tier is checked by the scenario that holds it, under its config key.
+    small = TierParams(density=-1.0, tx_power=1.0, cloudlet_capacity=1.0)
+    with pytest.raises(ConfigError) as excinfo:
+        replace(default_params(), small=small)
+    assert excinfo.value.key == "lambda_s_per_km2"
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({"p_m_dbm": 4000.0}, "p_m_dbm"),
+        ({"gamma_ul_db": 4000.0}, "gamma_ul_db"),
+        ({"gamma_dl_db": -4000.0}, "gamma_dl_db"),
+        ({"p_s_dbm": -4000.0}, "p_s_dbm"),
+        ({"lambda_s_per_km2": -1.0}, "lambda_s_per_km2"),
+        ({"alpha": 3.0}, "alpha"),
+        ({"f_s_hz": 5e9}, "f_s_hz"),
+        ({"p_m_dbm": 20.0, "p_s_dbm": 30.0}, "p_m_dbm"),
+        ({"lambda_u_per_km2": 5.0}, "lambda_u_per_km2"),
+        ({"b_in_bits": 0.0}, "b_in_bits"),
+        ({"p_m_dbm": 3000.0, "p_s_dbm": -3000.0}, "p_m_dbm"),
+    ],
+)
+def test_each_rejection_names_its_key_and_quotes_the_raw_value(raw, key):
+    with pytest.raises(ConfigError) as excinfo:
+        params_from_raw(raw)
+    assert excinfo.value.key == key
+    assert repr(raw[key]) in str(excinfo.value)
 
 
 def test_cycles_rescale_with_input_bits():

@@ -175,6 +175,18 @@ def test_invalid_grid_point_error_names_the_point():
     assert info.value.key == "lambda_u_per_km2"
 
 
+def test_far_apart_tier_powers_give_a_config_error_or_finite_rows():
+    # Power ratio past the float range: a configuration error naming the point.
+    base = params_from_raw({"p_s_dbm": -3000.0})
+    with pytest.raises(ConfigError, match="p_m_dbm=3000.0") as info:
+        run_sweep(SweepSpec(axis="p_m_dbm", values=(46.0, 3000.0)), base=base)
+    assert info.value.key == "p_m_dbm"
+    # Finite ratio, but the coupled small-cell probability underflows to 0.
+    base = params_from_raw({"p_s_dbm": -1500.0, "lambda_s_per_km2": 1e-300})
+    rows = run_sweep(SweepSpec(axis="p_m_dbm", values=(46.0, 1500.0)), base=base)
+    assert len(rows) == 6 and all(math.isfinite(r.total) for r in rows)
+
+
 def test_auto_user_density_lifts_to_exactly_the_bs_density():
     # At these small-cell densities lambda_m + lambda_s converted to per m2
     # rounds above the converted lambda_u; the lifted points must still run.
