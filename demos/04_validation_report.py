@@ -2,7 +2,8 @@
 
 Runs the full analytic-vs-empirical comparison table (association
 probabilities, per-cell loads, coverage probabilities) and writes the
-machine-readable CSV next to this script.  Expect a few seconds.
+machine-readable CSV next to this script.  Expect about a second and a
+half on a 2-vCPU machine.
 """
 import pathlib
 

@@ -3,7 +3,8 @@
 Subcommands: `analytic` (evaluate one scenario), `sweep` (figure presets or
 a custom axis), `validate` (analytic vs Monte Carlo), `plot` (sweep CSV to
 SVG).  Exit codes are a stable contract: 0 success, 2 configuration error,
-3 model infeasibility (unstable cloudlet queue), 4 validation failure.
+3 model infeasibility (unstable cloudlet queue), 4 validation failure, or a
+validation the sampler cannot carry out.
 """
 from __future__ import annotations
 
@@ -114,7 +115,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     params = _load_params(args.config)
-    report = run_validation(params, trials=args.trials, seed=args.seed)
+    try:
+        report = run_validation(params, trials=args.trials, seed=args.seed)
+    except RuntimeError as exc:
+        # The sampler cannot realize this scenario (a window too wide to
+        # sample, a tier the association almost never picks): no verdict.
+        print(f"validation not possible: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     if args.out:
         write_validation_csv(report, params, args.out)
     worst = max((abs(r.z_score) for r in report.rows), default=0.0)

@@ -3,11 +3,11 @@
 Everything here samples the geometry directly: homogeneous Poisson point
 processes for both BS tiers and the users, max-power or nearest-BS
 association applied to the sampled points, and exponential (Rayleigh-power)
-fading on every interfering link.  A nearest-BS distance is the minimum
-over the points of a disc: the disc's Poisson point count is drawn, then the
-minimum of that many uniform squared radii by its inverse CDF.  No coverage
-integral or association formula is consulted, so agreement with the
-analytic modules is evidence of implementation fidelity.
+fading on every interfering link.  A nearest-BS distance is drawn from one
+uniform by inverting the void probability P(d > r) = exp(-lambda pi r^2),
+with the draws whose disc would be empty redrawn.  No coverage integral or
+association formula is consulted, so agreement with the analytic modules is
+evidence of implementation fidelity.
 
 Coverage is Rao-Blackwellised.  Given the serving distance x and the
 sampled interference I, the serving fade is averaged out exactly: a trial
@@ -20,6 +20,11 @@ through its exact Laplace functional at alpha = 4,
 exp(-lambda pi sqrt(sP) arctan(sqrt(sP) / R^2)) (Andrews, Baccelli and
 Ganti, IEEE TCOM 2011), so the cut costs variance, not bias.  The standard
 error is the sample standard deviation of the per-trial values.
+
+Per-cell loads come from one realization of users and BSs, many trials side
+by side, with one KD-tree per BS tier.  Every user's nearest macro BS is
+looked up, its nearest small-cell BS only where that can change a counted
+cell; the skipped lookups cannot change any estimate.
 
 Two modeling conventions are intentionally mirrored from the analytic side
 (they are assumptions of the model, not artifacts of this sampler):
@@ -58,6 +63,12 @@ _VOID_LOG = math.log(1e12)
 # the field beyond enters through its Laplace functional.
 _INTERFERER_SPAN = 5.0
 _LOAD_TAIL_LOG = math.log(1e9)
+# Slack of the load sampler's small-cell lookup bound, in trial spacings.
+_LOOKUP_MARGIN = 1e-6
+# The load sampler refuses a point process expected to hold more points
+# than this over all its trials (about 0.5 GB of coordinates); the
+# reference point needs about 2.7e5 users for 250 trials.
+_MAX_LOAD_POINTS = float(1 << 25)
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -83,26 +94,27 @@ def _nearest_distances(
 ) -> tuple[np.ndarray, int]:
     """Distance from the origin to the nearest point of a PPP, per trial.
 
-    Each trial draws the Poisson point count N of a disc wide enough that an
-    empty draw is a ~1e-12 event; empty draws are redrawn and counted.  The
-    squared distances of the N points are uniform on [0, R^2], so their
-    minimum is drawn directly by inverting its law,
-    P(min <= t) = 1 - (1 - t / R^2)^N, from one uniform per trial.
+    The nearest point of a PPP of density lambda lies at squared distance
+    d^2 = -log(U) / (pi lambda) for U uniform on (0, 1), one uniform per
+    trial.  Its disc of radius R, wide enough that it is empty with
+    probability ~1e-12, is empty exactly when U < exp(-lambda pi R^2); those
+    draws are redrawn and counted, so the law is the nearest-point law given
+    a nonempty disc, as if the disc's points had been drawn.
     """
     if density == 0.0:
         return np.full(n, np.inf), 0
     radius = math.sqrt(_VOID_LOG / (math.pi * density)) * window_scale
-    mean = density * math.pi * radius * radius
-    counts = rng.poisson(mean, n)
-    empty = np.flatnonzero(counts == 0)
+    p_empty = math.exp(-density * math.pi * radius * radius)
+    u = rng.random(n)
+    empty = np.flatnonzero(u < p_empty)
     resampled = 0
     while empty.size:
         resampled += int(empty.size)
-        counts[empty] = rng.poisson(mean, empty.size)
-        empty = empty[counts[empty] == 0]
-    u = rng.random(n)
-    d2 = radius * radius * -np.expm1(np.log1p(-u) / counts)
-    return np.sqrt(d2), resampled
+        u[empty] = rng.random(empty.size)
+        empty = empty[u[empty] < p_empty]
+    np.log(u, out=u)
+    u *= -1.0 / (math.pi * density)
+    return np.sqrt(u, out=u), resampled
 
 
 def _power_rule_small_wins(params: ScenarioParams, d_m: np.ndarray, d_s: np.ndarray) -> np.ndarray:
@@ -193,17 +205,24 @@ def _field_exponent(
     exclusion radius, which a window_scale below 2/3 would otherwise allow;
     the interferers between the two radii are sampled with their fades, the
     field beyond R enters through its exact Laplace functional.  Also
-    returns the number of interferers sampled.
+    returns the number of interferers sampled.  The per-interferer arrays
+    are formed in place: squared radii uniform on [exclusion2, outer2],
+    then the weights P h / r^4.
     """
     spans2 = _INTERFERER_SPAN * _INTERFERER_SPAN / (math.pi * density)
     outer2 = np.maximum(spans2, 2.25 * exclusion2) * (window_scale * window_scale)
     outer2 = np.maximum(outer2, exclusion2)
-    counts = rng.poisson(density * math.pi * (outer2 - exclusion2))
+    width = outer2 - exclusion2
+    counts = rng.poisson(density * math.pi * width)
     trial_of = np.repeat(np.arange(s.size), counts)
-    inner = exclusion2[trial_of]
-    r2 = inner + rng.random(trial_of.size) * (outer2[trial_of] - inner)
-    fading = rng.exponential(1.0, trial_of.size)
-    near = np.bincount(trial_of, weights=power * fading / (r2 * r2), minlength=s.size)
+    r2 = rng.random(trial_of.size)
+    r2 *= width[trial_of]
+    r2 += exclusion2[trial_of]
+    weights = rng.standard_exponential(trial_of.size)
+    weights *= power
+    r2 *= r2
+    weights /= r2
+    near = np.bincount(trial_of, weights=weights, minlength=s.size)
     exponent = s * near + _far_field_exponent(density, power, s, outer2)
     return exponent, int(trial_of.size)
 
@@ -354,21 +373,66 @@ def _load_regions(params: ScenarioParams, window_scale: float) -> dict:
     }
 
 
+def _needs_small_lookup(
+    d_m: np.ndarray,
+    macro_interior: np.ndarray,
+    user_radial: np.ndarray,
+    pick_small: float,
+    spacing: float,
+) -> np.ndarray:
+    """Users whose nearest small-cell BS can change an in-region cell count.
+
+    A user at distance rho from its trial centre lies at least
+    rho - pick_small from every in-region small BS.  If its nearest macro BS
+    is out of region and nearer than that, every in-region small BS loses to
+    it under the nearest rule and, as P_m >= P_s, under the max-power rule:
+    the user is served out of region whatever its nearest small BS is.  The
+    margin of 1e-6 trial spacings keeps the bound clear of the rounding of
+    coordinates offset by up to trials * spacing.
+    """
+    bound = user_radial - (pick_small + _LOOKUP_MARGIN * spacing)
+    return macro_interior | (d_m >= bound)
+
+
+@dataclass(frozen=True)
+class LoadEstimates:
+    """Users per BS under both association rules, with the sampler's counts.
+
+    `by_rule` maps "power" and "nearest" to {tier: estimate}; `users` counts
+    the users sampled and `small_lookups` those whose nearest small-cell BS
+    was looked up.
+    """
+
+    by_rule: dict[str, dict[Tier, McEstimate]]
+    users: int
+    small_lookups: int
+
+
 def _mean_loads_by_rule(
     params: ScenarioParams,
     trials: int,
     seed: int,
     window_scale: float = 1.0,
-) -> dict[str, dict[Tier, McEstimate]]:
+) -> LoadEstimates:
     """Users per BS under both association rules, both tiers, from one pass.
 
-    Returns {rule: {tier: estimate}} for the "power" and "nearest" rules.
     Trials are laid out side by side on a line with a spacing that keeps
     them geometrically independent, so a single KD-tree per tier answers
     every nearest-BS query; the queries do not depend on the rule, so one
     realization of users and BSs serves both.  The estimate is the ratio of
     total users served by in-region BSs to the in-region BS count (unbiased
     for the typical cell; the BS nearest the origin would be size-biased).
+
+    Every user's nearest macro BS is looked up, its nearest small-cell BS
+    only where that can change an in-region count (_needs_small_lookup:
+    the nearest macro BS is in-region, or no nearer than
+    rho - pick_small - margin, rho being the user's distance to its trial
+    centre).  Any other user is served out of region under both rules, so
+    its small-cell distance is left at inf and the estimates are those of
+    looking up every user, bit for bit.
+
+    Raises RuntimeError, naming the process, when a Poisson mean is not
+    finite or would put more than _MAX_LOAD_POINTS points into one process.
     """
     # Imported here: scipy.spatial costs every `import hetmec` about 0.13 s
     # and only this sampler needs it.
@@ -380,8 +444,15 @@ def _mean_loads_by_rule(
     rng = _rng(seed, _TAG_LOAD)
     offsets = np.arange(trials) * geo["spacing"]
 
-    def sample_process(density: float, radius: float):
-        counts = rng.poisson(density * math.pi * radius * radius, trials)
+    def sample_process(name: str, density: float, radius: float):
+        mean = density * math.pi * radius * radius
+        if not math.isfinite(mean) or mean * trials > _MAX_LOAD_POINTS:
+            raise RuntimeError(
+                f"the {name} process of the load sampler would hold about "
+                f"{mean:.3g} points per trial over {trials} trials, more than "
+                f"{_MAX_LOAD_POINTS:.3g} in all; its sampling window is too wide"
+            )
+        counts = rng.poisson(mean, trials)
         total = int(counts.sum())
         r = radius * np.sqrt(rng.random(total))
         theta = 2.0 * math.pi * rng.random(total)
@@ -397,7 +468,9 @@ def _mean_loads_by_rule(
         if lam == 0.0:
             bs[tier] = None
             continue
-        pts, counts, trial_of, radial = sample_process(lam, geo["r_bs"][tier])
+        pts, counts, trial_of, radial = sample_process(
+            f"{tier.value} BS", lam, geo["r_bs"][tier]
+        )
         if int(counts.min()) == 0:
             # A trial with no BS of a nonzero-density tier cannot resolve
             # nearest queries; astronomically unlikely at these radii.
@@ -409,21 +482,31 @@ def _mean_loads_by_rule(
             "n": pts.shape[0],
         }
 
-    users, _, _, _ = sample_process(params.user_density, geo["r_user"])
+    users, _, _, user_radial = sample_process("user", params.user_density, geo["r_user"])
+    n_users = users.shape[0]
 
-    dist = {}
-    index = {}
-    for tier, info in bs.items():
-        if info is None:
-            dist[tier] = np.full(users.shape[0], np.inf)
-            index[tier] = np.zeros(users.shape[0], dtype=np.int64)
-        else:
-            d, i = info["tree"].query(users, k=1)
-            dist[tier], index[tier] = d, i
+    macro = bs[Tier.MACRO]
+    d_m, i_m = macro["tree"].query(users, k=1)
+    asked = np.zeros(0, dtype=np.int64)
+    if bs[Tier.SMALL] is not None:
+        asked = np.flatnonzero(
+            _needs_small_lookup(
+                d_m, macro["interior"][i_m], user_radial, geo["picks"][Tier.SMALL], geo["spacing"]
+            )
+        )
+    asked_users = users[asked]
+    # Free the user coordinates before the full-size small-cell arrays and
+    # the per-rule temporaries: they would set the sampler's peak memory.
+    del users, user_radial
+    d_s = np.full(n_users, np.inf)
+    i_s = np.zeros(n_users, dtype=np.int64)
+    if asked.size:
+        d_s[asked], i_s[asked] = bs[Tier.SMALL]["tree"].query(asked_users, k=1)
+    index = {Tier.MACRO: i_m, Tier.SMALL: i_s}
 
     small_wins_by_rule = {
-        "power": _power_rule_small_wins(params, dist[Tier.MACRO], dist[Tier.SMALL]),
-        "nearest": dist[Tier.SMALL] < dist[Tier.MACRO],
+        "power": _power_rule_small_wins(params, d_m, d_s),
+        "nearest": d_s < d_m,
     }
     out = {}
     for rule, small_wins in small_wins_by_rule.items():
@@ -448,4 +531,4 @@ def _mean_loads_by_rule(
             if trials > 1:
                 var *= trials / (trials - 1)
             out[rule][tier] = McEstimate(est, math.sqrt(var), trials)
-    return out
+    return LoadEstimates(out, int(n_users), int(asked.size))

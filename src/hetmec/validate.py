@@ -82,7 +82,7 @@ def run_validation(params: ScenarioParams, trials: int, seed: int = 0) -> Valida
 
     `trials` drives the association tallies and each coverage estimate; the
     per-cell loads take max(160, trials // 400) realizations, which keeps the
-    full run to a few seconds at trials = 1e5.
+    full run to about a second at trials = 1e5.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -111,7 +111,11 @@ def run_validation(params: ScenarioParams, trials: int, seed: int = 0) -> Valida
     # downlink marginals of the decoupled policy obey the same max-power
     # rule as the coupled policy, so they reuse the same measurement.
     loads = mc_mod._mean_loads_by_rule(params, max(160, trials // 400), seed + 1)
-    power_loads, nearest_loads = loads["power"], loads["nearest"]
+    power_loads, nearest_loads = loads.by_rule["power"], loads.by_rule["nearest"]
+    notes.append(
+        f"sampler loads: users {loads.users}, small-cell lookups {loads.small_lookups}"
+        f" ({loads.small_lookups / loads.users:.4f} of users)"
+    )
     load_specs = [
         ("load_coupled_small", (Policy.COUPLED, Link.UL, Tier.SMALL), power_loads[Tier.SMALL]),
         ("load_coupled_macro", (Policy.COUPLED, Link.UL, Tier.MACRO), power_loads[Tier.MACRO]),

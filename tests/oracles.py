@@ -1,8 +1,10 @@
-"""Independent closed forms that the tests compare the library against.
+"""Independent references that the tests compare the library against.
 
 None of these is on the library's path: the serving-distance PDF feeds the
-quadrature oracle of the coverage closed form, and the noise-free limits are
-the interference-limited coverages the general closed form must reduce to.
+quadrature oracle of the coverage closed form, the noise-free limits are
+the interference-limited coverages the general closed form must reduce to,
+and the unpruned load sampler answers every nearest-BS query that the
+library's sampler may skip.
 """
 import math
 
@@ -18,6 +20,13 @@ from hetmec.association import (
     tier_params,
 )
 from hetmec.coverage import psi, thinned_user_density
+from hetmec.montecarlo import (
+    _TAG_LOAD,
+    McEstimate,
+    _load_regions,
+    _power_rule_small_wins,
+    _rng,
+)
 
 
 def serving_distance_pdf(params, policy: Policy, tier: Tier, x):
@@ -61,3 +70,77 @@ def dl_coverage_interference_limited(gamma_dl: float) -> float:
     tier dependence cancels and the value is 1 / (1 + psi(g)) for both tiers.
     """
     return 1.0 / (1.0 + psi(gamma_dl))
+
+
+def unpruned_mean_loads(params, trials: int, seed: int, window_scale: float = 1.0):
+    """Users per BS under both rules, querying both KD-trees for every user.
+
+    Draws the same realization as `montecarlo._mean_loads_by_rule` (same
+    generator, same order of draws) and returns {rule: {tier: estimate}};
+    the library's sampler must reproduce it bit for bit.
+    """
+    from scipy.spatial import cKDTree
+
+    geo = _load_regions(params, window_scale)
+    rng = _rng(seed, _TAG_LOAD)
+    offsets = np.arange(trials) * geo["spacing"]
+
+    def sample_process(density: float, radius: float):
+        counts = rng.poisson(density * math.pi * radius * radius, trials)
+        total = int(counts.sum())
+        r = radius * np.sqrt(rng.random(total))
+        theta = 2.0 * math.pi * rng.random(total)
+        pts = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+        pts[:, 0] += np.repeat(offsets, counts)
+        return pts, np.repeat(np.arange(trials), counts), r
+
+    bs = {}
+    for tier in (Tier.MACRO, Tier.SMALL):
+        lam = tier_params(params, tier).density
+        if lam == 0.0:
+            bs[tier] = None
+            continue
+        pts, trial_of, radial = sample_process(lam, geo["r_bs"][tier])
+        bs[tier] = {
+            "tree": cKDTree(pts),
+            "trial_of": trial_of,
+            "interior": radial <= geo["picks"][tier],
+            "n": pts.shape[0],
+        }
+    users, _, _ = sample_process(params.user_density, geo["r_user"])
+
+    dist = {}
+    index = {}
+    for tier, info in bs.items():
+        if info is None:
+            dist[tier] = np.full(users.shape[0], np.inf)
+            index[tier] = np.zeros(users.shape[0], dtype=np.int64)
+        else:
+            dist[tier], index[tier] = info["tree"].query(users, k=1)
+
+    small_wins_by_rule = {
+        "power": _power_rule_small_wins(params, dist[Tier.MACRO], dist[Tier.SMALL]),
+        "nearest": dist[Tier.SMALL] < dist[Tier.MACRO],
+    }
+    out = {}
+    for rule, small_wins in small_wins_by_rule.items():
+        out[rule] = {}
+        for tier, info in bs.items():
+            if info is None:
+                out[rule][tier] = McEstimate(0.0, 0.0, trials)
+                continue
+            served_here = small_wins if tier is Tier.SMALL else ~small_wins
+            per_bs = np.bincount(index[tier][served_here], minlength=info["n"])
+            interior = info["interior"]
+            totals = np.bincount(
+                info["trial_of"][interior], weights=per_bs[interior], minlength=trials
+            )
+            cells = np.bincount(info["trial_of"][interior], minlength=trials)
+            total_cells = int(cells.sum())
+            est = float(totals.sum()) / total_cells
+            residuals = totals - est * cells
+            var = float(np.sum(residuals**2)) / (total_cells**2)
+            if trials > 1:
+                var *= trials / (trials - 1)
+            out[rule][tier] = McEstimate(est, math.sqrt(var), trials)
+    return out

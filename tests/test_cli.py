@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ import hetmec.montecarlo
 from hetmec.cli import main
 from hetmec.config import default_params
 from hetmec.validate import run_validation
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse_report(text: str) -> dict:
@@ -191,7 +197,8 @@ def test_validation_makes_one_load_pass_and_notes_sampler_counts(monkeypatch):
         for note in report.notes
         if note.startswith("sampler ")
     ]
-    assert sampler_rows == coverage_rows
+    # One note for the load sampler, then one per coverage row.
+    assert sampler_rows == ["loads"] + coverage_rows
 
 
 def test_validate_small_run_passes_with_csv(tmp_path, capsys):
@@ -206,6 +213,33 @@ def test_validate_small_run_passes_with_csv(tmp_path, capsys):
     assert code in (0, 4)  # statistical; the fixed acceptance seed is checked elsewhere
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     assert len(lines) >= 20
+
+
+def test_validate_reports_unsampleable_scenario_as_validation_outcome(tmp_path, capsys):
+    # A valid scenario whose load-sampler window would need ~1e301 points per
+    # trial: no verdict is possible, which is exit 4, not a configuration error.
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text("p_m_dbm = 1500\np_s_dbm = -1500\nlambda_s_per_km2 = 1e-300\n")
+    assert main(["analytic", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["validate", "--config", str(cfg), "--trials", "2000"]) == 4
+    err = capsys.readouterr().err
+    assert "validation not possible: " in err
+    assert "macro BS process" in err
+
+
+def test_python_dash_m_entry_point():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "hetmec", "--version"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("hetmec ")
 
 
 def test_version_flag(capsys):

@@ -16,15 +16,18 @@ from hetmec.config import params_from_raw
 from hetmec.coverage import DlCoverageForm, dl_coverage, ul_coverage
 from hetmec.montecarlo import (
     _INTERFERER_SPAN,
+    _LOOKUP_MARGIN,
     _VOID_LOG,
     _far_field_exponent,
     _mean_loads_by_rule,
     _nearest_distances,
+    _needs_small_lookup,
     _rng,
     _serving_rule,
     empirical_association,
     empirical_coverage,
 )
+from oracles import unpruned_mean_loads
 
 DEFAULTS = params_from_raw({})
 
@@ -66,6 +69,20 @@ def test_nearest_distances_redraw_empty_discs():
     norm = -math.expm1(-density * math.pi * radius * radius)
     ks = stats.kstest(distances, lambda r: -np.expm1(-density * math.pi * r * r) / norm)
     assert ks.statistic < 1.95 / math.sqrt(n)
+
+
+def test_nearest_distances_draw_one_uniform_per_trial():
+    # No Poisson count is drawn: with no empty disc the generator advances by
+    # exactly one uniform per trial, and d^2 = -log(U) / (pi lambda).
+    density = DEFAULTS.small.density
+    n = 5_000
+    rng = _rng(33, 1)
+    distances, resampled = _nearest_distances(rng, density, n, 1.0)
+    assert resampled == 0
+    reference = _rng(33, 1)
+    u = reference.random(n)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    np.testing.assert_allclose(distances, np.sqrt(-np.log(u) / (math.pi * density)), rtol=1e-14)
 
 
 def test_empirical_association_matches_closed_forms():
@@ -237,7 +254,7 @@ def test_empirical_mean_load_matches_closed_forms():
         (Policy.DECOUPLED, Link.UL, Tier.MACRO, 22),
     ]:
         loads = _mean_loads_by_rule(DEFAULTS, trials=400, seed=seed)
-        est = loads[_serving_rule(policy, link)][tier]
+        est = loads.by_rule[_serving_rule(policy, link)][tier]
         target = association_report(DEFAULTS).load[policy, link, tier]
         assert abs(est.mean - target) < 3.0 * est.std_error
 
@@ -246,7 +263,7 @@ def test_empirical_load_user_conservation():
     # loads weighted by BS density must add back to the user density
     lam_m = DEFAULTS.macro.density
     lam_s = DEFAULTS.small.density
-    loads = _mean_loads_by_rule(DEFAULTS, trials=400, seed=23)["power"]
+    loads = _mean_loads_by_rule(DEFAULTS, trials=400, seed=23).by_rule["power"]
     small, macro = loads[Tier.SMALL], loads[Tier.MACRO]
     total = small.mean * lam_s + macro.mean * lam_m
     se = math.hypot(small.std_error * lam_s, macro.std_error * lam_m)
@@ -261,5 +278,53 @@ def test_empirical_mean_load_bit_reproducible():
 
 def test_zero_density_tier_load_is_zero():
     p = params_from_raw({"lambda_s_per_km2": 0.0})
-    est = _mean_loads_by_rule(p, trials=30, seed=25)["power"][Tier.SMALL]
+    est = _mean_loads_by_rule(p, trials=30, seed=25).by_rule["power"][Tier.SMALL]
     assert est.mean == 0.0 and est.std_error == 0.0
+
+
+LOAD_CONFIGS = {
+    "reference": ({}, 1.0),
+    "equal_powers": ({"p_m_dbm": 30.0, "p_s_dbm": 30.0}, 1.0),
+    "dense_small": ({"lambda_s_per_km2": 50.0, "lambda_u_per_km2": 60.0}, 1.0),
+    "wide_window": ({}, 2.0),
+    "no_small": ({"lambda_s_per_km2": 0.0}, 1.0),
+}
+
+
+@pytest.mark.parametrize("seed", [41, 42])
+@pytest.mark.parametrize("config", list(LOAD_CONFIGS))
+def test_pruned_load_lookups_match_unpruned_sampler(config, seed):
+    # Skipping the small-cell lookup where it cannot change an in-region cell
+    # must leave every estimate, mean and standard error, bit for bit as it is
+    # when every user is looked up in both trees.
+    raw, window_scale = LOAD_CONFIGS[config]
+    params = params_from_raw(raw)
+    loads = _mean_loads_by_rule(params, trials=30, seed=seed, window_scale=window_scale)
+    expected = unpruned_mean_loads(params, trials=30, seed=seed, window_scale=window_scale)
+    for rule, by_tier in expected.items():
+        for tier, estimate in by_tier.items():
+            got = loads.by_rule[rule][tier]
+            assert (got.mean, got.std_error, got.trials) == (
+                estimate.mean, estimate.std_error, estimate.trials
+            ), (rule, tier)
+
+
+def test_load_sampler_looks_up_few_small_cells():
+    # At the reference point about 11% of users can reach an in-region cell
+    # through a small-cell lookup; the rest need the macro lookup only.
+    loads = _mean_loads_by_rule(DEFAULTS, trials=60, seed=43)
+    assert loads.users > 0
+    assert 0 < loads.small_lookups <= 0.2 * loads.users
+
+
+def test_small_lookup_bound_keeps_its_margin():
+    # Users up to one margin below the bound rho - pick_small are looked up,
+    # so rounding of the offset coordinates cannot drop one whose in-region
+    # small BS wins; users whose nearest macro BS is in-region always are.
+    spacing, pick, rho = 25_000.0, 357.0, 3_000.0
+    margin = _LOOKUP_MARGIN * spacing
+    edge = rho - pick
+    d_m = np.array([edge, edge - 0.5 * margin, edge - 2.0 * margin, edge - 2.0 * margin])
+    macro_interior = np.array([False, False, False, True])
+    got = _needs_small_lookup(d_m, macro_interior, np.full(4, rho), pick, spacing)
+    assert got.tolist() == [True, True, False, True]
