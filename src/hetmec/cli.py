@@ -5,10 +5,15 @@ a custom axis), `validate` (analytic vs Monte Carlo), `plot` (sweep CSV to
 SVG).  Exit codes are a stable contract: 0 success, 2 configuration error,
 3 model infeasibility (unstable cloudlet queue), 4 validation failure, or a
 validation the sampler cannot carry out.
+
+`main(argv)` may be called repeatedly in one process.  The argument parser
+is built on the first call and shared by every later one, so callers must
+not mutate what `build_parser` returns.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -49,13 +54,9 @@ def _load_params(path: str | None):
     return parse_config(text)
 
 
-def _form(name: str) -> DlCoverageForm:
-    return DlCoverageForm(name)
-
-
 def cmd_analytic(args) -> int:
     params = _load_params(args.config)
-    form = _form(args.dl_coverage_form)
+    form = DlCoverageForm(args.dl_coverage_form)
     point = operating_point(params, form)
     report = point.assoc
     print(f"assoc.coupled.small = {report.a_ss_d!r}")
@@ -67,14 +68,21 @@ def cmd_analytic(args) -> int:
     for link, marg in (("ul", report.a_ul), ("dl", report.a_dl)):
         for tier in Tier:
             print(f"assoc.decoupled.marginal.{link}.{tier.value} = {marg[tier]!r}")
-    for (policy, link, tier), value in sorted(report.load.items(), key=str):
+    for (policy, link, tier), value in sorted(
+        report.load.items(), key=lambda item: tuple(member.value for member in item[0])
+    ):
         print(f"load.{policy.value}.{link.value}.{tier.value} = {value!r}")
 
     for (policy, tier), cov in point.ul_coverage.items():
         print(f"coverage.ul.{policy.value}.{tier.value} = {cov!r}")
+    # The point holds the DL coverage of its own form; only the other form
+    # is evaluated here.
     for tier in point.tiers:
         for cov_form in DlCoverageForm:
-            cov = dl_coverage(params, tier, params.dl_sinr_threshold, form=cov_form)
+            if cov_form is form:
+                cov = point.dl_coverage[tier]
+            else:
+                cov = dl_coverage(params, tier, params.dl_sinr_threshold, form=cov_form)
             print(f"coverage.dl.{cov_form.value}.{tier.value} = {cov!r}")
 
     for scheme in Scheme:
@@ -94,7 +102,7 @@ def cmd_analytic(args) -> int:
 
 def cmd_sweep(args) -> int:
     params = _load_params(args.config)
-    form = _form(args.dl_coverage_form)
+    form = DlCoverageForm(args.dl_coverage_form)
     if args.figure is not None:
         spec = figure_sweep_spec(args.figure)
     else:
@@ -149,7 +157,15 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `hetmec` argument parser, built once per process and shared.
+
+    Every `main` call parses with this one object, so callers must not
+    mutate it.  Reuse is safe: `parse_args` makes a fresh namespace on each
+    call, and `--version` and usage errors write to the `sys.stdout` and
+    `sys.stderr` in force at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="hetmec",
         description="Offloading latency of a two-tier edge network under "

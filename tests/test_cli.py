@@ -1,7 +1,9 @@
+import argparse
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +11,21 @@ import pytest
 
 import hetmec.association
 import hetmec.montecarlo
-from hetmec.cli import main
+from hetmec import cli, latency
+from hetmec.association import Tier
+from hetmec.cli import build_parser, main
 from hetmec.config import default_params
+from hetmec.coverage import DlCoverageForm, dl_coverage
 from hetmec.validate import run_validation
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _src_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def parse_report(text: str) -> dict:
@@ -43,6 +55,107 @@ def test_analytic_defaults(capsys):
         for c in ("ul_time_s", "exec_time_s", "backhaul_time_s", "dl_time_s")
     )
     assert total == pytest.approx(parts, rel=1e-12)
+
+    # Each printed DL coverage is exactly the closed form of its own form,
+    # whichever form the operating point was built with.
+    params = default_params()
+    for point_form in DlCoverageForm:
+        assert main(["analytic", "--dl-coverage-form", point_form.value]) == 0
+        report = parse_report(capsys.readouterr().out)
+        for form in DlCoverageForm:
+            for tier in Tier:
+                want = dl_coverage(params, tier, params.dl_sinr_threshold, form=form)
+                assert report[f"coverage.dl.{form.value}.{tier.value}"] == want
+
+
+@pytest.mark.parametrize("form", [f.value for f in DlCoverageForm])
+def test_analytic_evaluates_each_dl_coverage_once(monkeypatch, capsys, form):
+    # The operating point holds the DL coverage of its own form, so the
+    # report evaluates only the other form: 2 tiers x 2 forms, once each.
+    calls = Counter()
+    original = latency.dl_coverage
+
+    def counted(params, tier, gamma_dl, form=DlCoverageForm.SCALED_NOISE):
+        calls[tier, form] += 1
+        return original(params, tier, gamma_dl, form=form)
+
+    monkeypatch.setattr(latency, "dl_coverage", counted)
+    monkeypatch.setattr(cli, "dl_coverage", counted)
+    assert main(["analytic", "--dl-coverage-form", form]) == 0
+    capsys.readouterr()
+    assert calls == {(tier, f): 1 for tier in Tier for f in DlCoverageForm}
+
+
+GOLDEN_CASES = [
+    ("default-scaled_noise", [], 0),
+    ("default-interference", ["--dl-coverage-form", "interference"], 0),
+    ("single_tier", ["--config", str(GOLDEN / "single_tier.cfg")], 0),
+    ("unstable", ["--config", str(GOLDEN / "unstable.cfg")], 3),
+]
+
+
+@pytest.mark.parametrize("stem, extra, code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_analytic_report_matches_golden_bytes(capsys, stem, extra, code):
+    assert main(["analytic", *extra]) == code
+    captured = capsys.readouterr()
+    assert captured.out.encode() == (GOLDEN / f"{stem}.out").read_bytes()
+    err_file = GOLDEN / f"{stem}.err"
+    want_err = err_file.read_bytes() if err_file.exists() else b""
+    assert captured.err.encode() == want_err
+
+
+def test_fresh_process_report_matches_golden_bytes():
+    # A one-shot `python -m hetmec analytic` builds its own parser.
+    result = subprocess.run(
+        [sys.executable, "-m", "hetmec", "analytic"],
+        env=_src_env(),
+        capture_output=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / "default-scaled_noise.out").read_bytes()
+    assert result.stderr == b""
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    assert main(["analytic"]) == 0
+    built = Counter()
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built["parsers"] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(199):
+        assert main(["analytic"]) == 0
+    capsys.readouterr()
+    assert built["parsers"] == 0
+
+
+def test_exiting_call_leaves_the_shared_parser_intact(capsys):
+    assert main(["analytic"]) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analytic", "--dl-coverage-form", "bogus"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--version"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith("hetmec ")
+    assert main(["analytic"]) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_shared_parser_keeps_no_value_between_calls():
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["sweep", "--figure", "5", "--out", "a.csv"])
+    second = parser.parse_args(["sweep", "--axis", "gamma_db", "--values=-3", "--out", "b.csv"])
+    assert first.figure == 5
+    assert second.figure is None
+    assert (second.axis, second.values, second.out) == ("gamma_db", "-3", "b.csv")
 
 
 def test_analytic_single_tier_config(tmp_path, capsys):
@@ -229,11 +342,9 @@ def test_validate_reports_unsampleable_scenario_as_validation_outcome(tmp_path, 
 
 
 def test_python_dash_m_entry_point():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "hetmec", "--version"],
-        env=env,
+        env=_src_env(),
         capture_output=True,
         text=True,
         timeout=60,
