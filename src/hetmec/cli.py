@@ -14,20 +14,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 
 from . import __version__
-from .association import Tier
+from .association import Link, Policy, Tier
 from .config import ConfigError, default_params, parse_config
 from .coverage import DlCoverageForm, dl_coverage
-from .latency import (
-    QueueUnstable,
-    Scheme,
-    average_breakdown,
-    case_latency,
-    operating_point,
-    scheme_cases,
-)
+from .latency import QueueUnstable, Scheme, case_latencies, mean_breakdown, operating_point
 from .svgplot import write_sweep_chart
 from .sweeps import (
     SweepSpec,
@@ -54,50 +48,104 @@ def _load_params(path: str | None):
     return parse_config(text)
 
 
+# Report labels, built once in printed order.  Load lines sort by the enum
+# values of (policy, link, tier); each case prints six lines from one template.
+_MARGINAL_LABELS = {
+    link: tuple((tier, f"assoc.decoupled.marginal.{link.value}.{tier.value} = ") for tier in Tier)
+    for link in Link
+}
+_LOAD_LABELS = tuple(
+    ((policy, link, tier), f"load.{policy.value}.{link.value}.{tier.value} = ")
+    for policy, link, tier in sorted(
+        itertools.product(Policy, Link, Tier),
+        key=lambda key: tuple(member.value for member in key),
+    )
+)
+_UL_COVERAGE_LABELS = {
+    (policy, tier): f"coverage.ul.{policy.value}.{tier.value} = "
+    for policy in Policy
+    for tier in Tier
+}
+_DL_COVERAGE_LABELS = {
+    tier: tuple((form, f"coverage.dl.{form.value}.{tier.value} = ") for form in DlCoverageForm)
+    for tier in Tier
+}
+_CASE_FIELDS = ("weight", "ul_time_s", "exec_time_s", "backhaul_time_s", "dl_time_s", "total_s")
+_CASE_LINES = {
+    (scheme, ul_tier, dl_tier): "".join(
+        f"case.{scheme.value}.{ul_tier.value}_{dl_tier.value}.{field} = {{!r}}\n"
+        for field in _CASE_FIELDS
+    )
+    for scheme in Scheme
+    for ul_tier in Tier
+    for dl_tier in Tier
+}
+_AVERAGE_LABELS = {scheme: f"average.{scheme.value}.total_s = " for scheme in Scheme}
+
+
 def cmd_analytic(args) -> int:
+    """Report one scenario, written with a single `sys.stdout.write`.
+
+    The write happens even when a case raises QueueUnstable, so the report
+    then ends with the last case computed before the unstable one.
+    """
     params = _load_params(args.config)
     form = DlCoverageForm(args.dl_coverage_form)
+    lines: list[str] = []
+    try:
+        _analytic_report(params, form, lines)
+    finally:
+        sys.stdout.write("".join(lines))
+    return EXIT_OK
+
+
+def _analytic_report(params, form: DlCoverageForm, out: list[str]) -> None:
+    # Appends the report's lines to `out` as each is computed.
     point = operating_point(params, form)
     report = point.assoc
-    print(f"assoc.coupled.small = {report.a_ss_d!r}")
-    print(f"assoc.coupled.macro = {report.a_mm_d!r}")
-    print(f"assoc.decoupled.small_small = {report.a_ss_u!r}")
-    print(f"assoc.decoupled.macro_macro = {report.a_mm_u!r}")
-    print(f"assoc.decoupled.small_macro = {report.a_sm_u!r}")
-    print(f"assoc.decoupled.macro_small = {report.a_ms_u!r}")
-    for link, marg in (("ul", report.a_ul), ("dl", report.a_dl)):
-        for tier in Tier:
-            print(f"assoc.decoupled.marginal.{link}.{tier.value} = {marg[tier]!r}")
-    for (policy, link, tier), value in sorted(
-        report.load.items(), key=lambda item: tuple(member.value for member in item[0])
-    ):
-        print(f"load.{policy.value}.{link.value}.{tier.value} = {value!r}")
+    out.append(
+        f"assoc.coupled.small = {report.a_ss_d!r}\n"
+        f"assoc.coupled.macro = {report.a_mm_d!r}\n"
+        f"assoc.decoupled.small_small = {report.a_ss_u!r}\n"
+        f"assoc.decoupled.macro_macro = {report.a_mm_u!r}\n"
+        f"assoc.decoupled.small_macro = {report.a_sm_u!r}\n"
+        f"assoc.decoupled.macro_small = {report.a_ms_u!r}\n"
+    )
+    for link, marg in ((Link.UL, report.a_ul), (Link.DL, report.a_dl)):
+        for tier, label in _MARGINAL_LABELS[link]:
+            out.append(f"{label}{marg[tier]!r}\n")
+    load = report.load
+    for key, label in _LOAD_LABELS:
+        out.append(f"{label}{load[key]!r}\n")
 
-    for (policy, tier), cov in point.ul_coverage.items():
-        print(f"coverage.ul.{policy.value}.{tier.value} = {cov!r}")
+    for key, cov in point.ul_coverage.items():
+        out.append(f"{_UL_COVERAGE_LABELS[key]}{cov!r}\n")
     # The point holds the DL coverage of its own form; only the other form
     # is evaluated here.
     for tier in point.tiers:
-        for cov_form in DlCoverageForm:
+        for cov_form, label in _DL_COVERAGE_LABELS[tier]:
             if cov_form is form:
                 cov = point.dl_coverage[tier]
             else:
                 cov = dl_coverage(params, tier, params.dl_sinr_threshold, form=cov_form)
-            print(f"coverage.dl.{cov_form.value}.{tier.value} = {cov!r}")
+            out.append(f"{label}{cov!r}\n")
 
-    for scheme in Scheme:
-        for ul_tier, dl_tier, weight in scheme_cases(point, scheme):
-            case = case_latency(point, scheme, ul_tier, dl_tier)
-            stem = f"case.{scheme.value}.{ul_tier.value}_{dl_tier.value}"
-            print(f"{stem}.weight = {weight!r}")
-            print(f"{stem}.ul_time_s = {case.ul_time!r}")
-            print(f"{stem}.exec_time_s = {case.exec_time!r}")
-            print(f"{stem}.backhaul_time_s = {case.backhaul_time!r}")
-            print(f"{stem}.dl_time_s = {case.dl_time!r}")
-            print(f"{stem}.total_s = {case.total!r}")
-        breakdown = average_breakdown(point, scheme)
-        print(f"average.{scheme.value}.total_s = {breakdown.total!r}")
-    return EXIT_OK
+    # Each case is computed once, and the average is taken over those cases.
+    for scheme, average_label in _AVERAGE_LABELS.items():
+        weighted = []
+        for ul_tier, dl_tier, weight, case in case_latencies(point, scheme):
+            weighted.append((weight, case))
+            out.append(
+                _CASE_LINES[scheme, ul_tier, dl_tier].format(
+                    weight,
+                    case.ul_time,
+                    case.exec_time,
+                    case.backhaul_time,
+                    case.dl_time,
+                    case.total,
+                )
+            )
+        out.append(f"{average_label}{mean_breakdown(weighted).total!r}\n")
 
 
 def cmd_sweep(args) -> int:

@@ -213,9 +213,10 @@ def parse_config_text(text: str) -> dict[str, float | str]:
     """Parse a flat key=value document into a raw mapping (defaults applied).
 
     Lines are ``key = value``; blank lines and ``#`` comments are ignored.
-    Unknown keys and non-numeric values are rejected.
+    Unknown keys, keys given twice and non-numeric values are rejected.
     """
     raw: dict[str, float | str] = dict(RAW_DEFAULTS)
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -227,6 +228,11 @@ def parse_config_text(text: str) -> dict[str, float | str]:
         value = value.strip()
         if key not in RAW_DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}", key=key)
+        if key in first_line:
+            raise ConfigError(
+                f"line {lineno}: key {key!r} already given on line {first_line[key]}", key=key
+            )
+        first_line[key] = lineno
         if key == "backhaul_mode":
             raw[key] = value.lower()
             continue

@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-import numpy as np
 from scipy.special import erfcx
 
 from . import association
@@ -53,15 +52,14 @@ class DlCoverageForm(Enum):
     INTERFERENCE = "interference"
 
 
-def psi(gamma):
+def psi(gamma: float) -> float:
     """Interference attenuation factor sqrt(g) * arctan(sqrt(g)).
 
     Zero at zero, strictly increasing; valid only for path-loss exponent 4.
-    Accepts scalars or arrays.
+    Takes one nonnegative number and returns a float.
     """
-    root = np.sqrt(gamma)
-    out = root * np.arctan(root)
-    return float(out) if np.ndim(gamma) == 0 else out
+    root = math.sqrt(gamma)
+    return root * math.atan(root)
 
 
 def thinned_user_density(params: ScenarioParams) -> float:

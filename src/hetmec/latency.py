@@ -12,8 +12,9 @@ a cloudlet, and downloads `output_bits`.  Three schemes are compared:
 All three schemes read one association law (case probabilities and per-BS
 loads) and the same per-tier coverages, rates and cloudlet arrival rates.
 `operating_point` computes each of them once per scenario; `scheme_cases`,
-`case_latency` and `average_breakdown` derive every case of every scheme
-from that one frozen `OperatingPoint`.
+`case_latency` and `case_latencies` derive every case of every scheme from
+that one frozen `OperatingPoint`.  `mean_breakdown` averages cases already
+computed; `average_breakdown` is `mean_breakdown` of `case_latencies`.
 
 Cloudlets are M/M/1 queues.  Because each BS time-shares its uplink
 bandwidth across its associated users, the aggregate bits/s entering a BS
@@ -29,6 +30,7 @@ exception QueueUnstable, which sweep runners render as unbounded rows.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -261,21 +263,33 @@ def scheme_cases(point: OperatingPoint, scheme: Scheme) -> list[tuple[Tier, Tier
     return [(k, l, w) for k, l, w in cases if w > 0.0]
 
 
-def average_breakdown(
+def case_latencies(
     point: OperatingPoint, scheme: Scheme, unstable_as_inf: bool = False
-) -> LatencyBreakdown:
-    """Probability-weighted component averages over the scheme's cases.
+) -> Iterator[tuple[Tier, Tier, float, LatencyBreakdown]]:
+    """Each case of `scheme` with nonzero weight, with its latency breakdown.
+
+    Yields (ul_tier, dl_tier, probability, breakdown) in `scheme_cases`
+    order, computing each case once.  A case whose queue is unstable raises
+    QueueUnstable (unless unstable_as_inf) only when it is reached, after
+    every earlier case has been yielded.
+    """
+    for ul_tier, dl_tier, weight in scheme_cases(point, scheme):
+        yield ul_tier, dl_tier, weight, case_latency(
+            point, scheme, ul_tier, dl_tier, unstable_as_inf=unstable_as_inf
+        )
+
+
+def mean_breakdown(weighted: Sequence[tuple[float, LatencyBreakdown]]) -> LatencyBreakdown:
+    """Probability-weighted component averages over (weight, breakdown) pairs.
 
     Components stay additive: the averaged total equals the sum of the
     averaged components.  Any unbounded case with nonzero weight makes the
     affected component (and the total) unbounded.
     """
-    ul = exec_ = bh = dl = 0.0
-    cases = scheme_cases(point, scheme)
-    if not cases:
+    if not weighted:
         raise ValueError("no association case has positive probability")
-    for ul_tier, dl_tier, weight in cases:
-        case = case_latency(point, scheme, ul_tier, dl_tier, unstable_as_inf=unstable_as_inf)
+    ul = exec_ = bh = dl = 0.0
+    for weight, case in weighted:
         ul += weight * case.ul_time
         exec_ += weight * case.exec_time
         bh += weight * case.backhaul_time
@@ -286,4 +300,16 @@ def average_breakdown(
         backhaul_time=bh,
         dl_time=dl,
         total=ul + exec_ + bh + dl,
+    )
+
+
+def average_breakdown(
+    point: OperatingPoint, scheme: Scheme, unstable_as_inf: bool = False
+) -> LatencyBreakdown:
+    """The scheme's average latency: `mean_breakdown` of its `case_latencies`."""
+    return mean_breakdown(
+        [
+            (weight, case)
+            for _, _, weight, case in case_latencies(point, scheme, unstable_as_inf=unstable_as_inf)
+        ]
     )

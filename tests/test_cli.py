@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -91,6 +93,9 @@ GOLDEN_CASES = [
     ("default-interference", ["--dl-coverage-form", "interference"], 0),
     ("single_tier", ["--config", str(GOLDEN / "single_tier.cfg")], 0),
     ("unstable", ["--config", str(GOLDEN / "unstable.cfg")], 3),
+    # The macro DL cloudlet (58.2 req/s into mu = 50 req/s) fails mid-scheme:
+    # the coupled and UL-processing blocks and one DL-processing case print.
+    ("unstable_dl_proc", ["--config", str(GOLDEN / "unstable_dl_proc.cfg")], 3),
 ]
 
 
@@ -115,6 +120,68 @@ def test_fresh_process_report_matches_golden_bytes():
     assert result.returncode == 0, result.stderr
     assert result.stdout == (GOLDEN / "default-scaled_noise.out").read_bytes()
     assert result.stderr == b""
+
+
+def test_fresh_process_mid_scheme_unstable_report_matches_golden_bytes():
+    # Exit 3 after a partial report: every line computed before the unstable
+    # case reaches stdout, then the message reaches stderr.
+    config = GOLDEN / "unstable_dl_proc.cfg"
+    result = subprocess.run(
+        [sys.executable, "-m", "hetmec", "analytic", "--config", str(config)],
+        env=_src_env(),
+        capture_output=True,
+        timeout=60,
+    )
+    assert result.returncode == 3
+    assert result.stdout == (GOLDEN / "unstable_dl_proc.out").read_bytes()
+    assert result.stderr == (GOLDEN / "unstable_dl_proc.err").read_bytes()
+
+
+# The DL coverage form does not change which cases a report computes.
+COUNTED_CASES = [case for case in GOLDEN_CASES if case[0] != "default-interference"]
+
+
+@pytest.mark.parametrize("stem, extra, code", COUNTED_CASES, ids=[c[0] for c in COUNTED_CASES])
+def test_analytic_computes_each_printed_case_once(monkeypatch, capsys, stem, extra, code):
+    # One case_latency call per printed case, in printed order, plus the
+    # call that raises for an unstable case, which prints nothing.
+    called = []
+    original = latency.case_latency
+
+    def counted(point, scheme, ul_tier, dl_tier, **kwargs):
+        called.append(f"case.{scheme.value}.{ul_tier.value}_{dl_tier.value}")
+        return original(point, scheme, ul_tier, dl_tier, **kwargs)
+
+    # Count every call, whichever module the report reaches it through.
+    for module in (latency, cli):
+        monkeypatch.setattr(module, "case_latency", counted, raising=False)
+    assert main(["analytic", *extra]) == code
+    printed = [
+        key.removesuffix(".total_s")
+        for key in parse_report(capsys.readouterr().out)
+        if key.startswith("case.") and key.endswith(".total_s")
+    ]
+    assert called[: len(printed)] == printed
+    assert len(called) == len(printed) + (code == 3)
+
+
+class _CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("stem, extra, code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_analytic_writes_its_report_once_to_the_current_stdout(stem, extra, code):
+    stream = _CountingStream()
+    with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["analytic", *extra]) == code
+    assert stream.writes == 1
+    assert stream.getvalue().encode() == (GOLDEN / f"{stem}.out").read_bytes()
 
 
 def test_main_builds_one_parser_per_process(monkeypatch, capsys):
@@ -214,6 +281,17 @@ def test_unknown_key_exit_code(tmp_path, capsys):
     cfg.write_text("lambda_q_per_km2 = 2\n")
     assert main(["analytic", "--config", str(cfg)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_key_given_twice_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("gamma_ul_db = -10\ngamma_ul_db = 5\n")
+    assert main(["analytic", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "configuration error: line 2: key 'gamma_ul_db' already given on line 1\n"
+    )
 
 
 def test_missing_config_file_exit_code(capsys):

@@ -71,6 +71,14 @@ def test_unknown_key_is_rejected():
         parse_config("lambda_z_per_km2 = 3")
 
 
+def test_key_given_twice_is_rejected_naming_both_lines():
+    text = "gamma_ul_db = -10\n# the second value must not silently win\ngamma_ul_db = 5\n"
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert excinfo.value.key == "gamma_ul_db"
+    assert str(excinfo.value) == "line 3: key 'gamma_ul_db' already given on line 1"
+
+
 def test_non_numeric_value_is_rejected():
     with pytest.raises(ConfigError, match="non-numeric"):
         parse_config("p_m_dbm = fortysix")

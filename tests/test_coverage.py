@@ -44,9 +44,13 @@ def test_psi_reference_values():
 
 
 def test_psi_strictly_increasing():
-    grid = np.linspace(0.0, 20.0, 200)
-    values = psi(grid)
-    assert np.all(np.diff(values) > 0.0)
+    values = [psi(float(g)) for g in np.linspace(0.0, 20.0, 200)]
+    assert all(later > earlier for earlier, later in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1, 1.0, 1e300, np.float64(0.1)])
+def test_psi_returns_a_builtin_float(gamma):
+    assert type(psi(gamma)) is float
 
 
 def test_thinned_user_density_equals_bs_density():

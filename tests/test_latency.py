@@ -11,7 +11,9 @@ from hetmec.latency import (
     _mm1_delay,
     average_breakdown,
     backhaul_time,
+    case_latencies,
     case_latency,
+    mean_breakdown,
     operating_point,
     service_rate,
     spectral_efficiency,
@@ -323,6 +325,24 @@ def test_queue_unstable_raised_and_rendered():
     assert breakdown.exec_time == math.inf
     assert breakdown.total == math.inf
     assert math.isfinite(breakdown.ul_time)
+
+
+def test_case_latencies_yields_the_cases_before_an_unstable_one():
+    # mu = 50 req/s on both tiers; only the macro DL cloudlet (58.2 req/s)
+    # is unstable, and DECOUPLED_DL_PROC reaches it at its second case.
+    point = operating_point(scenario(f_m_hz=3.6e9, cycles_per_input_bit=18000.0))
+    cases = case_latencies(point, Scheme.DECOUPLED_DL_PROC)
+    ul_tier, dl_tier, weight, case = next(cases)
+    assert (ul_tier, dl_tier, weight) == (Tier.SMALL, Tier.SMALL, point.assoc.a_ss_u)
+    assert case == case_latency(point, Scheme.DECOUPLED_DL_PROC, Tier.SMALL, Tier.SMALL)
+    with pytest.raises(QueueUnstable) as excinfo:
+        next(cases)
+    assert excinfo.value.tier is Tier.MACRO
+    for scheme in (Scheme.COUPLED_ACCESS, Scheme.DECOUPLED_UL_PROC):
+        weighted = [(weight, case) for _, _, weight, case in case_latencies(point, scheme)]
+        assert mean_breakdown(weighted) == average_breakdown(point, scheme)
+    with pytest.raises(ValueError, match="no association case"):
+        mean_breakdown([])
 
 
 def test_stability_frontier_consistency_between_exec_formulas():
