@@ -2,8 +2,8 @@
 
 Runs the full analytic-vs-empirical comparison table (association
 probabilities, per-cell loads, coverage probabilities) and writes the
-machine-readable CSV next to this script.  Expect about a second and a
-half on a 2-vCPU machine.
+machine-readable CSV next to this script.  Expect about 1.3 s on a 2-vCPU
+machine, import included.
 """
 import pathlib
 

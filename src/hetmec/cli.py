@@ -174,8 +174,8 @@ def cmd_validate(args) -> int:
     try:
         report = run_validation(params, trials=args.trials, seed=args.seed)
     except RuntimeError as exc:
-        # The sampler cannot realize this scenario (a window too wide to
-        # sample, a tier the association almost never picks): no verdict.
+        # The sampler cannot realize this scenario (a load window too wide
+        # to sample): no verdict.
         print(f"validation not possible: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.out:

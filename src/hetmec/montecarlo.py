@@ -3,11 +3,16 @@
 Everything here samples the geometry directly: homogeneous Poisson point
 processes for both BS tiers and the users, max-power or nearest-BS
 association applied to the sampled points, and exponential (Rayleigh-power)
-fading on every interfering link.  A nearest-BS distance is drawn from one
-uniform by inverting the void probability P(d > r) = exp(-lambda pi r^2),
-with the draws whose disc would be empty redrawn.  No coverage integral or
-association formula is consulted, so agreement with the analytic modules is
-evidence of implementation fidelity.
+fading on every interfering link.  For the association tallies a nearest-BS
+distance is drawn from one uniform by inverting the void probability
+P(d > r) = exp(-lambda pi r^2), with the draws whose disc would be empty
+redrawn.  A coverage trial draws its serving distance from its law given
+the serving tier (_serving_slope); given that distance each interferer
+field is a PPP outside its exclusion disc, so no trial is rejected.  No
+coverage integral is consulted and nothing of the analytic modules is
+called: the sampler computes that law's rate itself, and a test holds its
+draws to a rejection-conditioned reference.  Agreement with the analytic
+modules is therefore evidence of implementation fidelity.
 
 Coverage is Rao-Blackwellised.  Given the serving distance x and the
 sampled interference I, the serving fade is averaged out exactly: a trial
@@ -55,7 +60,7 @@ _TAG_ASSOCIATION = 2
 _TAG_COVERAGE = 3
 _TAG_LOAD = 4
 
-_BATCH = 1 << 14
+_BATCH = 1 << 13
 # Radius multiplier for nearest-BS sampling: void probability exp(-27.6).
 _VOID_LOG = math.log(1e12)
 # Interferers are sampled out to 5 typical spacings, or 1.5 times the trial's
@@ -260,16 +265,27 @@ def _downlink_exponent(
 
 @dataclass(frozen=True)
 class CoverageEstimate(McEstimate):
-    """A coverage estimate with the sampler's work counts.
+    """A coverage estimate with the number of interferer points sampled."""
 
-    `trials` counts accepted trials, `drawn` the trials drawn up to the last
-    accepted one, `interferers` the interferer points sampled for accepted
-    trials, and `resampled` the empty-tier redraws of nearest distances.
-    """
-
-    drawn: int
     interferers: int
-    resampled: int
+
+
+def _serving_slope(params: ScenarioParams, rule: str, tier: Tier) -> float:
+    """lambda_k + lambda_j * beta**2, the slope of the serving-distance law.
+
+    Tier k serves at distance x exactly when no tier-k BS is nearer and
+    every tier-j BS lies beyond beta * x, with beta = 1 under the nearest
+    rule and (P_j / P_k)**(1/alpha) under the max-power rule.  Given that
+    tier k serves, x^2 is therefore exponential with rate pi times this
+    slope (Jo, Sang, Xia and Andrews, IEEE TWC 2012).
+    """
+    own = tier_params(params, tier)
+    other = tier_params(params, tier.other)
+    if rule == "power":
+        beta2 = (other.tx_power / own.tx_power) ** (2.0 / params.pathloss_exponent)
+    else:
+        beta2 = 1.0
+    return own.density + other.density * beta2
 
 
 def empirical_coverage(
@@ -284,8 +300,11 @@ def empirical_coverage(
 ) -> CoverageEstimate:
     """Empirical SINR coverage for one (policy, link, tier) combination.
 
-    Trials are conditioned, by rejection, on the association landing on
-    `tier`; the count refers to accepted trials.  Each trial contributes its
+    Every trial is served by `tier`: its squared serving distance is drawn
+    from the conditional law x^2 ~ Exp(pi * _serving_slope), one standard
+    exponential per trial.  Given x, each interferer field is a PPP outside
+    its exclusion disc, which is all the UL and DL fields use, so the trial
+    is exact without conditioning by rejection.  Each trial contributes its
     conditional success probability exp(-s (N + I_near)) * L_far with
     s = gamma x^4 / P_tx, so the serving fade is averaged out exactly, and
     the standard error is the sample standard deviation over sqrt(trials).
@@ -296,37 +315,19 @@ def empirical_coverage(
         raise ValueError(f"gamma must be positive, got {gamma}")
     if tier_params(params, tier).density == 0.0:
         raise ValueError(f"tier {tier.value} has zero density; coverage is undefined")
-    rule = _serving_rule(policy, link)
+    rate = math.pi * _serving_slope(params, _serving_rule(policy, link), tier)
     if link is Link.UL:
         tx_power = params.user_tx_power
     else:
         tx_power = tier_params(params, tier).tx_power
     values = []
-    accepted = drawn = interferers = resampled = 0
+    done = interferers = 0
     batch_index = 0
-    while accepted < trials:
+    while done < trials:
+        n = min(_BATCH, trials - done)
         rng = _rng(seed, _TAG_COVERAGE, batch_index)
-        d_m, res_m = _nearest_distances(rng, params.macro.density, _BATCH, window_scale)
-        d_s, res_s = _nearest_distances(rng, params.small.density, _BATCH, window_scale)
-        resampled += res_m + res_s
-        if rule == "power":
-            small_wins = _power_rule_small_wins(params, d_m, d_s)
-        else:
-            small_wins = d_s < d_m
-        keep = small_wins if tier is Tier.SMALL else ~small_wins
-        picked = np.flatnonzero(keep)[: trials - accepted]
-        # Trials after the last one needed are drawn but never examined.
-        drawn += int(picked[-1]) + 1 if accepted + picked.size == trials else _BATCH
-        if picked.size == 0:
-            batch_index += 1
-            if batch_index > 4096:
-                raise RuntimeError(
-                    f"association almost never lands on tier {tier.value}; "
-                    "cannot condition the coverage estimate"
-                )
-            continue
-        x = (d_s if tier is Tier.SMALL else d_m)[picked]
-        x2 = x * x
+        x2 = rng.standard_exponential(n)
+        x2 /= rate
         s = gamma * x2 * x2 / tx_power
         if link is Link.UL:
             # Active-uplink users interfere from outside the disc of radius x
@@ -336,34 +337,40 @@ def empirical_coverage(
         else:
             exponent, sampled = _downlink_exponent(rng, params, tier, x2, s, window_scale)
         values.append(np.exp(-(s * params.noise_power + exponent)))
-        accepted += x.size
+        done += n
         interferers += sampled
         batch_index += 1
     v = np.concatenate(values)
     std_error = float(np.std(v, ddof=1)) / math.sqrt(trials) if trials > 1 else math.inf
-    return CoverageEstimate(
-        float(np.mean(v)), std_error, trials, drawn, interferers, resampled
-    )
+    return CoverageEstimate(float(np.mean(v)), std_error, trials, interferers)
 
 
 def _load_regions(params: ScenarioParams, window_scale: float) -> dict:
     """Geometry for the per-cell load counter.
 
     Cells are counted only for BSs inside a small pick region; users are
-    sampled far enough out to cover every cell of a picked BS.  Each tier's
-    BSs are sampled in their own disc, the user disc widened by that tier's
-    nearest-BS tail, so that every sampled user sees its true nearest BS of
-    each tier (tail probabilities ~1e-9).
+    sampled far enough out to cover every cell of a picked BS.  A user at
+    distance rho from the trial centre served by a picked tier-t BS sees a
+    tier-t void of radius at least rho - pick_t and a tier-j void beta times
+    that, beta**2 >= min(1, (P_j / P_t)**(2/alpha)) under either rule, so
+    the user disc reaches the joint void's tail (_serving_slope with the
+    smaller of the two rules' slopes).  Each tier's BSs are sampled in their
+    own disc, the user disc widened by that tier's nearest-BS tail, so that
+    every sampled user sees its true nearest BS of each tier.  Both tails
+    have probability ~1e-9 per user.
     """
     tails = {}
     picks = {}
+    joint_tails = {}
     for tier in (Tier.MACRO, Tier.SMALL):
         lam = tier_params(params, tier).density
         if lam == 0.0:
             continue
         tails[tier] = math.sqrt(_LOAD_TAIL_LOG / (math.pi * lam))
         picks[tier] = 2.0 / math.sqrt(math.pi * lam)
-    r_user = max(picks[t] + tails[t] for t in picks) * window_scale
+        slope = min(_serving_slope(params, rule, tier) for rule in ("power", "nearest"))
+        joint_tails[tier] = math.sqrt(_LOAD_TAIL_LOG / (math.pi * slope))
+    r_user = max(picks[t] + joint_tails[t] for t in picks) * window_scale
     r_bs = {t: r_user + tails[t] * window_scale for t in tails}
     return {
         "picks": {t: picks[t] * window_scale for t in picks},

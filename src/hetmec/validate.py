@@ -162,10 +162,9 @@ def run_validation(params: ScenarioParams, trials: int, seed: int = 0) -> Valida
                 name = f"coverage_{link.value}_{policy.value}_{tier.value}"
                 rows.append(_row(name, analytic, estimate))
                 notes.append(
-                    f"sampler {name}: drawn {estimate.drawn}, accepted {estimate.trials}"
-                    f" ({estimate.trials / estimate.drawn:.4f}), interferers"
+                    f"sampler {name}: trials {estimate.trials}, interferers"
                     f" {estimate.interferers} ({estimate.interferers / estimate.trials:.2f}"
-                    f" per accepted trial), empty-tier redraws {estimate.resampled}"
+                    " per trial)"
                 )
 
     return ValidationReport(
@@ -187,7 +186,8 @@ def validation_csv(report: ValidationReport, params: ScenarioParams) -> str:
         "# not the physical exactness of that approximation",
         f"# numpy = {np.__version__}",
         "# coverage estimator = conditional success probability per trial"
-        " (serving fade averaged); interferers sampled out to a per-trial outer radius,"
+        " (serving fade averaged); serving distance drawn from its law given the"
+        " serving tier; interferers sampled out to a per-trial outer radius,"
         f" the larger of {mc_mod._INTERFERER_SPAN:g} typical spacings and 1.5 x the"
         " trial's exclusion radius, the field beyond by its Laplace functional",
         f"# pass = {report.passed}",

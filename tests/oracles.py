@@ -3,14 +3,18 @@
 None of these is on the library's path: the serving-distance PDF feeds the
 quadrature oracle of the coverage closed form, the noise-free limits are
 the interference-limited coverages the general closed form must reduce to,
-and the unpruned load sampler answers every nearest-BS query that the
-library's sampler may skip.
+the rejection sampler conditions coverage trials on the serving tier by
+drawing both nearest distances and keeping the trials the rule assigns to
+it, the unpruned load sampler answers every nearest-BS query that the
+library's sampler may skip, and the own-tier load window is a wider user
+disc that sizes each tier's reach by its own void alone.
 """
 import math
 
 import numpy as np
 
 from hetmec.association import (
+    Link,
     Policy,
     Tier,
     coupled_probs,
@@ -21,11 +25,18 @@ from hetmec.association import (
 )
 from hetmec.coverage import psi, thinned_user_density
 from hetmec.montecarlo import (
+    _BATCH,
+    _LOAD_TAIL_LOG,
+    _TAG_COVERAGE,
     _TAG_LOAD,
     McEstimate,
+    _downlink_exponent,
+    _field_exponent,
     _load_regions,
+    _nearest_distances,
     _power_rule_small_wins,
     _rng,
+    _serving_rule,
 )
 
 
@@ -72,16 +83,84 @@ def dl_coverage_interference_limited(gamma_dl: float) -> float:
     return 1.0 / (1.0 + psi(gamma_dl))
 
 
-def unpruned_mean_loads(params, trials: int, seed: int, window_scale: float = 1.0):
-    """Users per BS under both rules, querying both KD-trees for every user.
+def rejection_coverage(
+    params, policy: Policy, link: Link, tier: Tier, gamma: float, trials: int, seed: int = 0
+):
+    """Coverage conditioned on the serving tier by rejection.
 
-    Draws the same realization as `montecarlo._mean_loads_by_rule` (same
-    generator, same order of draws) and returns {rule: {tier: estimate}};
-    the library's sampler must reproduce it bit for bit.
+    Each batch draws the nearest macro and small-cell distances of _BATCH
+    trials, keeps the trials the serving rule assigns to `tier` and builds
+    their interferer fields as `montecarlo.empirical_coverage` does.
+    Returns (estimate, serving distances of the accepted trials, trials
+    drawn up to the last accepted one).
+    """
+    rule = _serving_rule(policy, link)
+    tx_power = params.user_tx_power if link is Link.UL else tier_params(params, tier).tx_power
+    values, distances = [], []
+    accepted = drawn = 0
+    batch_index = 0
+    while accepted < trials:
+        if batch_index > 4096:
+            raise RuntimeError(f"association almost never lands on tier {tier.value}")
+        rng = _rng(seed, _TAG_COVERAGE, batch_index)
+        batch_index += 1
+        d_m, _ = _nearest_distances(rng, params.macro.density, _BATCH, 1.0)
+        d_s, _ = _nearest_distances(rng, params.small.density, _BATCH, 1.0)
+        if rule == "power":
+            small_wins = _power_rule_small_wins(params, d_m, d_s)
+        else:
+            small_wins = d_s < d_m
+        keep = small_wins if tier is Tier.SMALL else ~small_wins
+        picked = np.flatnonzero(keep)[: trials - accepted]
+        drawn += int(picked[-1]) + 1 if accepted + picked.size == trials else _BATCH
+        if picked.size == 0:
+            continue
+        x = (d_s if tier is Tier.SMALL else d_m)[picked]
+        x2 = x * x
+        s = gamma * x2 * x2 / tx_power
+        if link is Link.UL:
+            lam = params.macro.density + params.small.density
+            exponent, _ = _field_exponent(rng, lam, tx_power, s, x2, 1.0)
+        else:
+            exponent, _ = _downlink_exponent(rng, params, tier, x2, s, 1.0)
+        values.append(np.exp(-(s * params.noise_power + exponent)))
+        distances.append(x)
+        accepted += x.size
+    v = np.concatenate(values)
+    estimate = McEstimate(float(np.mean(v)), float(np.std(v, ddof=1)) / math.sqrt(trials), trials)
+    return estimate, np.concatenate(distances), drawn
+
+
+def own_tier_load_regions(params) -> dict:
+    """`montecarlo._load_regions` with the user disc sized by own-tier voids.
+
+    The user disc reaches each tier's pick radius plus that tier's own
+    nearest-BS tail, ignoring the other tier's void that a served user must
+    also see; every BS disc is that user disc widened by the tier's tail.
+    """
+    tails = {}
+    picks = {}
+    for tier in (Tier.MACRO, Tier.SMALL):
+        lam = tier_params(params, tier).density
+        if lam == 0.0:
+            continue
+        tails[tier] = math.sqrt(_LOAD_TAIL_LOG / (math.pi * lam))
+        picks[tier] = 2.0 / math.sqrt(math.pi * lam)
+    r_user = max(picks[t] + tails[t] for t in picks)
+    r_bs = {t: r_user + tails[t] for t in tails}
+    return {"picks": picks, "r_user": r_user, "r_bs": r_bs, "spacing": 4.0 * max(r_bs.values())}
+
+
+def _unpruned_realization(params, trials: int, seed: int, geo: dict):
+    """One load realization drawn as `montecarlo._mean_loads_by_rule` draws it.
+
+    Same generator and order of draws, in the regions `geo`; every user is
+    looked up in both KD-trees.  Returns the BS tiers, each user's distance
+    to its trial centre, its nearest BS index per tier, and per rule whether
+    the small-cell BS wins.
     """
     from scipy.spatial import cKDTree
 
-    geo = _load_regions(params, window_scale)
     rng = _rng(seed, _TAG_LOAD)
     offsets = np.arange(trials) * geo["spacing"]
 
@@ -107,7 +186,7 @@ def unpruned_mean_loads(params, trials: int, seed: int, window_scale: float = 1.
             "interior": radial <= geo["picks"][tier],
             "n": pts.shape[0],
         }
-    users, _, _ = sample_process(params.user_density, geo["r_user"])
+    users, _, user_radial = sample_process(params.user_density, geo["r_user"])
 
     dist = {}
     index = {}
@@ -122,6 +201,33 @@ def unpruned_mean_loads(params, trials: int, seed: int, window_scale: float = 1.
         "power": _power_rule_small_wins(params, dist[Tier.MACRO], dist[Tier.SMALL]),
         "nearest": dist[Tier.SMALL] < dist[Tier.MACRO],
     }
+    return bs, user_radial, index, small_wins_by_rule
+
+
+def served_by_counted_bs(params, trials: int, seed: int, geo: dict):
+    """Each user's distance to its trial centre and, per rule, whether a
+    counted (in-region) BS serves it, on a realization drawn in `geo`."""
+    bs, user_radial, index, small_wins_by_rule = _unpruned_realization(params, trials, seed, geo)
+    counted = {}
+    for rule, small_wins in small_wins_by_rule.items():
+        hit = np.zeros(user_radial.size, dtype=bool)
+        for tier, info in bs.items():
+            if info is not None:
+                served_here = small_wins if tier is Tier.SMALL else ~small_wins
+                hit |= served_here & info["interior"][index[tier]]
+        counted[rule] = hit
+    return user_radial, counted
+
+
+def unpruned_mean_loads(params, trials: int, seed: int, window_scale: float = 1.0):
+    """Users per BS under both rules, querying both KD-trees for every user.
+
+    Draws the same realization as `montecarlo._mean_loads_by_rule` (same
+    generator, same order of draws) and returns {rule: {tier: estimate}};
+    the library's sampler must reproduce it bit for bit.
+    """
+    geo = _load_regions(params, window_scale)
+    bs, _, index, small_wins_by_rule = _unpruned_realization(params, trials, seed, geo)
     out = {}
     for rule, small_wins in small_wins_by_rule.items():
         out[rule] = {}

@@ -400,7 +400,7 @@ def test_validate_small_run_passes_with_csv(tmp_path, capsys):
     assert "pass = " in text
     assert f"# numpy = {np.__version__}\n" in text
     assert "# coverage estimator = conditional success probability" in text
-    assert "# sampler coverage_ul_coupled_macro: drawn " in text
+    assert "# sampler coverage_ul_coupled_macro: trials 12000, interferers " in text
     assert code in (0, 4)  # statistical; the fixed acceptance seed is checked elsewhere
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     assert len(lines) >= 20
@@ -417,6 +417,29 @@ def test_validate_reports_unsampleable_scenario_as_validation_outcome(tmp_path, 
     err = capsys.readouterr().err
     assert "validation not possible: " in err
     assert "macro BS process" in err
+
+
+def test_validate_estimates_coverage_of_a_tier_almost_never_picked(tmp_path, capsys):
+    # At 3000 dB between the tier powers the max-power rule almost never
+    # picks a small cell (probability ~1e-149), yet every coverage row is
+    # estimated: its trials are drawn from the serving-distance law given
+    # the tier.  The association and load rows of that tier tally zero
+    # against a positive analytic value, so their z is inf and the verdict
+    # is fail.
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text("p_m_dbm = 1500\np_s_dbm = -1500\n")
+    out = tmp_path / "val.csv"
+    code = main(["validate", "--config", str(cfg), "--trials", "10000", "--out", str(out)])
+    assert "validation not possible" not in capsys.readouterr().err
+    rows = {
+        line.split(",")[0]: float(line.split(",")[-1])
+        for line in out.read_text().splitlines()
+        if not line.startswith("#") and not line.startswith("quantity,")
+    }
+    coverage = {name: z for name, z in rows.items() if name.startswith("coverage_")}
+    assert len(coverage) == 8
+    assert all(math.isfinite(z) for z in coverage.values()), coverage
+    assert code == 4
 
 
 def test_python_dash_m_entry_point():

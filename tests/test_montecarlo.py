@@ -14,11 +14,13 @@ from hetmec.association import (
 )
 from hetmec.config import params_from_raw
 from hetmec.coverage import DlCoverageForm, dl_coverage, ul_coverage
+import hetmec.montecarlo
 from hetmec.montecarlo import (
     _INTERFERER_SPAN,
     _LOOKUP_MARGIN,
     _VOID_LOG,
     _far_field_exponent,
+    _load_regions,
     _mean_loads_by_rule,
     _nearest_distances,
     _needs_small_lookup,
@@ -27,7 +29,12 @@ from hetmec.montecarlo import (
     empirical_association,
     empirical_coverage,
 )
-from oracles import unpruned_mean_loads
+from oracles import (
+    own_tier_load_regions,
+    rejection_coverage,
+    served_by_counted_bs,
+    unpruned_mean_loads,
+)
 
 DEFAULTS = params_from_raw({})
 
@@ -213,19 +220,59 @@ def test_coverage_std_error_within_binomial(policy, link, tier):
 def test_uplink_sampler_counts(policy, tier):
     # Each trial's outer radius follows its own exclusion radius, so a trial
     # samples about 25 interferers (5 typical spacings) whatever its serving
-    # distance; and accepted / drawn trials is the association probability.
+    # distance.
     trials = 20_000
     est = empirical_coverage(
         DEFAULTS, policy, Link.UL, tier, DEFAULTS.ul_sinr_threshold, trials, seed=12
     )
     assert est.interferers / est.trials <= 30.0
-    assert est.resampled == 0
+
+
+SERVING_LAW_CONFIGS = {
+    "reference": {},
+    "unequal": {
+        "lambda_m_per_km2": 3.0,
+        "lambda_s_per_km2": 6.0,
+        "p_m_dbm": 40.0,
+        "p_s_dbm": 20.0,
+    },
+}
+
+
+@pytest.mark.parametrize("policy,tier", [(policy, tier) for policy in Policy for tier in Tier])
+@pytest.mark.parametrize("config", list(SERVING_LAW_CONFIGS))
+def test_serving_distances_match_rejection_sampler(config, policy, tier, monkeypatch):
+    # The uplink serving rule is max power under coupled access and nearest BS
+    # under decoupled access, so the four (policy, tier) pairs cover both rules
+    # for both tiers.  The sampler's serving distances are read from the x^2
+    # it hands the uplink field as exclusion radius.
+    params = params_from_raw(SERVING_LAW_CONFIGS[config])
+    n = 20_000
+    gamma = params.ul_sinr_threshold
+    field_exponent = hetmec.montecarlo._field_exponent
+    exclusions = []
+
+    def spy(rng, density, power, s, exclusion2, window_scale):
+        exclusions.append(exclusion2.copy())
+        return field_exponent(rng, density, power, s, exclusion2, window_scale)
+
+    monkeypatch.setattr(hetmec.montecarlo, "_field_exponent", spy)
+    est = empirical_coverage(params, policy, Link.UL, tier, gamma, n, seed=51)
+    monkeypatch.undo()
+    ref, ref_x, drawn = rejection_coverage(params, policy, Link.UL, tier, gamma, n, seed=52)
+    x = np.sqrt(np.concatenate(exclusions))
+    assert x.size == ref_x.size == n
+    # Two-sample KS critical value at 0.1%: 1.95 * sqrt((n + m) / (n m)).
+    ks = stats.ks_2samp(x, ref_x)
+    assert ks.statistic < 1.95 * math.sqrt(2.0 / n), ks
+    assert abs(est.mean - ref.mean) < 4.0 * math.hypot(est.std_error, ref.std_error)
+    # The reference keeps accepted / drawn trials at the association probability.
     if policy is Policy.COUPLED:
-        a_small = coupled_probs(DEFAULTS)[0]
+        a_small = coupled_probs(params)[0]
     else:
-        a_small = DEFAULTS.small.density / (DEFAULTS.small.density + DEFAULTS.macro.density)
+        a_small = params.small.density / (params.small.density + params.macro.density)
     p = a_small if tier is Tier.SMALL else 1.0 - a_small
-    assert abs(trials / est.drawn - p) < 4.0 * math.sqrt(p * (1.0 - p) / est.drawn)
+    assert abs(n / drawn - p) < 4.0 * math.sqrt(p * (1.0 - p) / drawn)
 
 
 def test_window_doubling_changes_estimate_within_noise():
@@ -310,11 +357,43 @@ def test_pruned_load_lookups_match_unpruned_sampler(config, seed):
 
 
 def test_load_sampler_looks_up_few_small_cells():
-    # At the reference point about 11% of users can reach an in-region cell
-    # through a small-cell lookup; the rest need the macro lookup only.
-    loads = _mean_loads_by_rule(DEFAULTS, trials=60, seed=43)
+    # The users whose nearest macro BS is in-region fill, on average, the
+    # in-region disc's area (lambda_u pi pick_macro^2, about 100 at the
+    # reference point); the small-cell lookups are those users plus a thin
+    # band near the small-cell pick region, about 119 per trial, whatever
+    # the width of the user disc.
+    trials = 60
+    loads = _mean_loads_by_rule(DEFAULTS, trials=trials, seed=43)
+    pick_macro = _load_regions(DEFAULTS, 1.0)["picks"][Tier.MACRO]
+    in_region_users = DEFAULTS.user_density * math.pi * pick_macro**2 * trials
     assert loads.users > 0
-    assert 0 < loads.small_lookups <= 0.2 * loads.users
+    assert in_region_users <= loads.small_lookups <= 1.5 * in_region_users
+
+
+WINDOW_CONFIGS = {
+    "reference": {},
+    "equal_powers": {"p_m_dbm": 30.0, "p_s_dbm": 30.0},
+    "dense_small": {"lambda_s_per_km2": 50.0, "lambda_u_per_km2": 60.0},
+    # 40 dB apart: max-power macro cells reach far, so the user disc must
+    # take the power rule's joint void, not the nearest rule's.
+    "far_powers": {"p_s_dbm": 6.0},
+}
+
+
+@pytest.mark.parametrize("config", list(WINDOW_CONFIGS))
+def test_joint_void_window_misses_no_counted_user(config):
+    # On a realization drawn in the wider own-tier window, no user between the
+    # joint-void radius and the own-tier radius is served by an in-region BS
+    # under either rule: the narrower user disc loses no counted user.
+    params = params_from_raw(WINDOW_CONFIGS[config])
+    r_user = _load_regions(params, 1.0)["r_user"]
+    wide = own_tier_load_regions(params)
+    radial, counted = served_by_counted_bs(params, trials=100, seed=44, geo=wide)
+    band = radial > r_user
+    assert wide["r_user"] > r_user and np.count_nonzero(band) > 1000
+    for rule, hit in counted.items():
+        assert np.any(hit), rule
+        assert not np.any(hit & band), rule
 
 
 def test_small_lookup_bound_keeps_its_margin():
