@@ -210,26 +210,32 @@ def _field_exponent(
     exclusion radius, which a window_scale below 2/3 would otherwise allow;
     the interferers between the two radii are sampled with their fades, the
     field beyond R enters through its exact Laplace functional.  Also
-    returns the number of interferers sampled.  The per-interferer arrays
-    are formed in place: squared radii uniform on [exclusion2, outer2],
-    then the weights P h / r^4.
+    returns the number of interferers sampled.  The interferers are drawn
+    trial after trial, so each trial's points are one contiguous segment of
+    the per-interferer arrays: squared radii uniform on [exclusion2, outer2],
+    then the weights P h / r^4, summed over each segment.  A trial that
+    draws no interferer has I_near exactly 0.
     """
     spans2 = _INTERFERER_SPAN * _INTERFERER_SPAN / (math.pi * density)
     outer2 = np.maximum(spans2, 2.25 * exclusion2) * (window_scale * window_scale)
     outer2 = np.maximum(outer2, exclusion2)
     width = outer2 - exclusion2
     counts = rng.poisson(density * math.pi * width)
-    trial_of = np.repeat(np.arange(s.size), counts)
-    r2 = rng.random(trial_of.size)
-    r2 *= width[trial_of]
-    r2 += exclusion2[trial_of]
-    weights = rng.standard_exponential(trial_of.size)
+    total = int(counts.sum())
+    r2 = rng.random(total)
+    r2 *= np.repeat(width, counts)
+    r2 += np.repeat(exclusion2, counts)
+    weights = rng.standard_exponential(total)
     weights *= power
     r2 *= r2
     weights /= r2
-    near = np.bincount(trial_of, weights=weights, minlength=s.size)
+    # reduceat sums from one start to the next, so only nonempty segments
+    # may be given: an empty one would yield its next point, not 0.
+    drew = counts > 0
+    near = np.zeros(s.size)
+    near[drew] = np.add.reduceat(weights, (np.cumsum(counts) - counts)[drew])
     exponent = s * near + _far_field_exponent(density, power, s, outer2)
-    return exponent, int(trial_of.size)
+    return exponent, total
 
 
 def _downlink_exponent(

@@ -6,8 +6,10 @@ the interference-limited coverages the general closed form must reduce to,
 the rejection sampler conditions coverage trials on the serving tier by
 drawing both nearest distances and keeping the trials the rule assigns to
 it, the unpruned load sampler answers every nearest-BS query that the
-library's sampler may skip, and the own-tier load window is a wider user
-disc that sizes each tier's reach by its own void alone.
+library's sampler may skip, the own-tier load window is a wider user
+disc that sizes each tier's reach by its own void alone, and the indexed
+field exponent sums each interferer into its trial through an explicit
+per-interferer trial index.
 """
 import math
 
@@ -26,11 +28,13 @@ from hetmec.association import (
 from hetmec.coverage import psi, thinned_user_density
 from hetmec.montecarlo import (
     _BATCH,
+    _INTERFERER_SPAN,
     _LOAD_TAIL_LOG,
     _TAG_COVERAGE,
     _TAG_LOAD,
     McEstimate,
     _downlink_exponent,
+    _far_field_exponent,
     _field_exponent,
     _load_regions,
     _nearest_distances,
@@ -81,6 +85,31 @@ def dl_coverage_interference_limited(gamma_dl: float) -> float:
     tier dependence cancels and the value is 1 / (1 + psi(g)) for both tiers.
     """
     return 1.0 / (1.0 + psi(gamma_dl))
+
+
+def indexed_field_exponent(rng, density, power, s, exclusion2, window_scale):
+    """`montecarlo._field_exponent` summed through a per-interferer trial index.
+
+    The same draws in the same order: Poisson counts, then uniform squared
+    radii, then the fades.  Each interferer's trial is looked up by index and
+    its weight added to that trial with bincount.
+    """
+    spans2 = _INTERFERER_SPAN * _INTERFERER_SPAN / (math.pi * density)
+    outer2 = np.maximum(spans2, 2.25 * exclusion2) * (window_scale * window_scale)
+    outer2 = np.maximum(outer2, exclusion2)
+    width = outer2 - exclusion2
+    counts = rng.poisson(density * math.pi * width)
+    trial_of = np.repeat(np.arange(s.size), counts)
+    r2 = rng.random(trial_of.size)
+    r2 *= width[trial_of]
+    r2 += exclusion2[trial_of]
+    weights = rng.standard_exponential(trial_of.size)
+    weights *= power
+    r2 *= r2
+    weights /= r2
+    near = np.bincount(trial_of, weights=weights, minlength=s.size)
+    exponent = s * near + _far_field_exponent(density, power, s, outer2)
+    return exponent, int(trial_of.size)
 
 
 def rejection_coverage(

@@ -11,25 +11,30 @@ from hetmec.association import (
     association_report,
     coupled_probs,
     decoupled_probs,
+    tier_params,
 )
 from hetmec.config import params_from_raw
 from hetmec.coverage import DlCoverageForm, dl_coverage, ul_coverage
 import hetmec.montecarlo
 from hetmec.montecarlo import (
+    _BATCH,
     _INTERFERER_SPAN,
     _LOOKUP_MARGIN,
     _VOID_LOG,
     _far_field_exponent,
+    _field_exponent,
     _load_regions,
     _mean_loads_by_rule,
     _nearest_distances,
     _needs_small_lookup,
     _rng,
     _serving_rule,
+    _serving_slope,
     empirical_association,
     empirical_coverage,
 )
 from oracles import (
+    indexed_field_exponent,
     own_tier_load_regions,
     rejection_coverage,
     served_by_counted_bs,
@@ -273,6 +278,82 @@ def test_serving_distances_match_rejection_sampler(config, policy, tier, monkeyp
         a_small = params.small.density / (params.small.density + params.macro.density)
     p = a_small if tier is Tier.SMALL else 1.0 - a_small
     assert abs(n / drawn - p) < 4.0 * math.sqrt(p * (1.0 - p) / drawn)
+
+
+# Interfering tier (None: the uplink users) and serving tier of each field.
+FIELDS = {
+    "uplink": (None, Tier.MACRO),
+    "downlink_macro": (Tier.MACRO, Tier.SMALL),
+    "downlink_small": (Tier.SMALL, Tier.MACRO),
+}
+
+
+def _field_inputs(params, field, n, seed):
+    # (density, power, s, exclusion2) of one batch as empirical_coverage
+    # builds them, with serving distances from the max-power law.
+    interfering, serving = FIELDS[field]
+    rng = _rng(seed, 0)
+    x2 = rng.standard_exponential(n) / (math.pi * _serving_slope(params, "power", serving))
+    if interfering is None:
+        density = params.macro.density + params.small.density
+        power = tx_power = params.user_tx_power
+        gamma, exclusion2 = params.ul_sinr_threshold, x2
+    else:
+        density = tier_params(params, interfering).density
+        power = tier_params(params, interfering).tx_power
+        tx_power = tier_params(params, serving).tx_power
+        gamma = params.dl_sinr_threshold
+        exclusion2 = (power / tx_power) ** (2.0 / params.pathloss_exponent) * x2
+    s = gamma * x2 * x2 / tx_power
+    return density, power, s, exclusion2
+
+
+@pytest.mark.parametrize("window_scale", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("field", list(FIELDS))
+@pytest.mark.parametrize("config", list(SERVING_LAW_CONFIGS))
+def test_segment_sums_match_indexed_field_exponent(config, field, window_scale):
+    # Summing each trial's contiguous segment of interferers moves only the
+    # rounding of the sums: the draws, hence the counts and the generator
+    # state after the call, are those of the per-interferer trial index.
+    params = params_from_raw(SERVING_LAW_CONFIGS[config])
+    density, power, s, exclusion2 = _field_inputs(params, field, _BATCH, seed=61)
+    rng, reference = _rng(61, 1), _rng(61, 1)
+    got, sampled = _field_exponent(rng, density, power, s, exclusion2, window_scale)
+    expected, expected_sampled = indexed_field_exponent(
+        reference, density, power, s, exclusion2, window_scale
+    )
+    assert sampled == expected_sampled > 0
+    assert rng.bit_generator.state == reference.bit_generator.state
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def test_trials_without_interferers_keep_the_far_field_exactly():
+    # At window_scale 0.5 a trial whose exclusion2 exceeds spans2 / 4 has its
+    # outer radius clamped to the exclusion radius, so it draws no interferer
+    # and its exponent is the far field beyond its exclusion radius alone.
+    # Such trials lie first, last and scattered among trials that draw.
+    density = DEFAULTS.macro.density + DEFAULTS.small.density
+    power = DEFAULTS.user_tx_power
+    spans2 = _INTERFERER_SPAN * _INTERFERER_SPAN / (math.pi * density)
+    n = 2_000
+    exclusion2 = spans2 * _rng(62, 0).uniform(0.0, 0.5, n)
+    exclusion2[[0, -1]] = 0.4 * spans2
+    s = 1e-3 * exclusion2 * exclusion2 / power
+    empty = exclusion2 > 0.25 * spans2
+    assert 0 < np.count_nonzero(empty) < n
+    rng, reference = _rng(62, 1), _rng(62, 1)
+    got, sampled = _field_exponent(rng, density, power, s, exclusion2, 0.5)
+    expected, expected_sampled = indexed_field_exponent(
+        reference, density, power, s, exclusion2, 0.5
+    )
+    assert sampled == expected_sampled > 0
+    far = _far_field_exponent(density, power, s, exclusion2)
+    assert np.array_equal(got[empty], far[empty])
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+    # A batch in which no trial draws an interferer.
+    got, sampled = _field_exponent(_rng(62, 2), density, power, s[empty], exclusion2[empty], 0.5)
+    assert sampled == 0
+    assert np.array_equal(got, _far_field_exponent(density, power, s[empty], exclusion2[empty]))
 
 
 def test_window_doubling_changes_estimate_within_noise():
