@@ -42,12 +42,18 @@ Two modeling conventions are intentionally mirrored from the analytic side
 
 Randomness is keyed: every operation derives its generators from
 (seed, operation tag, batch index) via numpy's SeedSequence, so results are
-bit-reproducible for a given (params, seed, trials) and batches could be
-evaluated in parallel and reduced associatively without changing them.
+bit-reproducible for a given (params, seed, trials).  The coverage batches
+run in parallel on the process's CPUs (_map_batches), as do the load
+sampler's KD-tree queries, and are reduced in batch order, so no estimate
+depends on the number of threads.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +78,78 @@ _LOAD_TAIL_LOG = math.log(1e9)
 _LOOKUP_MARGIN = 1e-6
 # The load sampler refuses a point process expected to hold more points
 # than this over all its trials (about 0.5 GB of coordinates); the
-# reference point needs about 2.7e5 users for 250 trials.
+# reference point needs about 1.46e5 users (584 per trial) for 250 trials.
 _MAX_LOAD_POINTS = float(1 << 25)
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *key))))
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Helper threads of _map_batches, created on first use; a forked child
+# inherits the executor but not its threads, so it makes its own.
+_pool_lock = threading.Lock()
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            # Threads start only as submitted work needs them.
+            pool = ThreadPoolExecutor(max(_cpu_count() - 1, 1), thread_name_prefix="hetmec-batch")
+            _pool = (os.getpid(), pool)
+        return _pool[1]
+
+
+def _map_batches(batch: Callable[[int], object], count: int) -> list:
+    """[batch(i) for i in range(count)], on up to one thread per CPU.
+
+    The calling thread and min(count, CPUs) - 1 helper threads claim the
+    indices one at a time, so one CPU runs the plain loop and starts no
+    thread.  Each result lands at its index, so the list is the same for
+    any thread count when batch(i) depends on i alone.  Once a batch raises
+    no further index is claimed, and when every thread has stopped the
+    exception is re-raised as it was.
+    """
+    threads = min(count, _cpu_count())
+    if threads <= 1:
+        return [batch(i) for i in range(count)]
+    results = [None] * count
+    lock = threading.Lock()
+    next_index = 0
+
+    def drain() -> None:
+        nonlocal next_index
+        while True:
+            with lock:
+                index = next_index
+                next_index += 1
+            if index >= count:
+                return
+            try:
+                results[index] = batch(index)
+            except BaseException:
+                with lock:
+                    next_index = count
+                raise
+
+    pool = _helper_pool()
+    helpers = [pool.submit(drain) for _ in range(threads - 1)]
+    try:
+        drain()
+    finally:
+        wait(helpers)
+    for helper in helpers:
+        helper.result()
+    return results
 
 
 @dataclass(frozen=True)
@@ -326,13 +398,10 @@ def empirical_coverage(
         tx_power = params.user_tx_power
     else:
         tx_power = tier_params(params, tier).tx_power
-    values = []
-    done = interferers = 0
-    batch_index = 0
-    while done < trials:
-        n = min(_BATCH, trials - done)
-        rng = _rng(seed, _TAG_COVERAGE, batch_index)
-        x2 = rng.standard_exponential(n)
+
+    def batch(index: int) -> tuple[np.ndarray, int]:
+        rng = _rng(seed, _TAG_COVERAGE, index)
+        x2 = rng.standard_exponential(min(_BATCH, trials - index * _BATCH))
         x2 /= rate
         s = gamma * x2 * x2 / tx_power
         if link is Link.UL:
@@ -342,11 +411,11 @@ def empirical_coverage(
             exponent, sampled = _field_exponent(rng, lam, tx_power, s, x2, window_scale)
         else:
             exponent, sampled = _downlink_exponent(rng, params, tier, x2, s, window_scale)
-        values.append(np.exp(-(s * params.noise_power + exponent)))
-        done += n
-        interferers += sampled
-        batch_index += 1
-    v = np.concatenate(values)
+        return np.exp(-(s * params.noise_power + exponent)), sampled
+
+    batches = _map_batches(batch, -(-trials // _BATCH))
+    v = np.concatenate([values for values, _ in batches])
+    interferers = sum(sampled for _, sampled in batches)
     std_error = float(np.std(v, ddof=1)) / math.sqrt(trials) if trials > 1 else math.inf
     return CoverageEstimate(float(np.mean(v)), std_error, trials, interferers)
 
@@ -467,13 +536,19 @@ def _mean_loads_by_rule(
             )
         counts = rng.poisson(mean, trials)
         total = int(counts.sum())
-        r = radius * np.sqrt(rng.random(total))
-        theta = 2.0 * math.pi * rng.random(total)
-        pts = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+        # Distance from the trial centre, before offsetting.
+        radial = np.sqrt(rng.random(total))
+        radial *= radius
+        theta = rng.random(total)
+        theta *= 2.0 * math.pi
+        # cos and sin write contiguous arrays: a strided output may take
+        # another loop of theirs and round differently.  A product is
+        # correctly rounded in any loop, so it may go straight to a column.
+        pts = np.empty((total, 2))
+        np.multiply(np.cos(theta), radial, out=pts[:, 0])
+        np.multiply(np.sin(theta, out=theta), radial, out=pts[:, 1])
         pts[:, 0] += np.repeat(offsets, counts)
-        trial_of = np.repeat(np.arange(trials), counts)
-        radial = r  # distance from the trial center, before offsetting
-        return pts, counts, trial_of, radial
+        return pts, counts, radial
 
     bs = {}
     for tier in (Tier.MACRO, Tier.SMALL):
@@ -481,25 +556,26 @@ def _mean_loads_by_rule(
         if lam == 0.0:
             bs[tier] = None
             continue
-        pts, counts, trial_of, radial = sample_process(
-            f"{tier.value} BS", lam, geo["r_bs"][tier]
-        )
+        pts, counts, radial = sample_process(f"{tier.value} BS", lam, geo["r_bs"][tier])
         if int(counts.min()) == 0:
             # A trial with no BS of a nonzero-density tier cannot resolve
             # nearest queries; astronomically unlikely at these radii.
             raise RuntimeError("a trial sampled zero base stations; enlarge the window")
         bs[tier] = {
             "tree": cKDTree(pts),
-            "trial_of": trial_of,
+            "trial_of": np.repeat(np.arange(trials), counts),
             "interior": radial <= geo["picks"][tier],
             "n": pts.shape[0],
         }
 
-    users, _, _, user_radial = sample_process("user", params.user_density, geo["r_user"])
+    users, _, user_radial = sample_process("user", params.user_density, geo["r_user"])
     n_users = users.shape[0]
+    # Each query is answered on its own, so splitting them over threads
+    # leaves every distance and index as it is.
+    workers = _cpu_count()
 
     macro = bs[Tier.MACRO]
-    d_m, i_m = macro["tree"].query(users, k=1)
+    d_m, i_m = macro["tree"].query(users, k=1, workers=workers)
     asked = np.zeros(0, dtype=np.int64)
     if bs[Tier.SMALL] is not None:
         asked = np.flatnonzero(
@@ -514,7 +590,7 @@ def _mean_loads_by_rule(
     d_s = np.full(n_users, np.inf)
     i_s = np.zeros(n_users, dtype=np.int64)
     if asked.size:
-        d_s[asked], i_s[asked] = bs[Tier.SMALL]["tree"].query(asked_users, k=1)
+        d_s[asked], i_s[asked] = bs[Tier.SMALL]["tree"].query(asked_users, k=1, workers=workers)
     index = {Tier.MACRO: i_m, Tier.SMALL: i_s}
 
     small_wins_by_rule = {

@@ -82,7 +82,7 @@ def run_validation(params: ScenarioParams, trials: int, seed: int = 0) -> Valida
 
     `trials` drives the association tallies and each coverage estimate; the
     per-cell loads take max(160, trials // 400) realizations, which keeps the
-    full run to about a second at trials = 1e5.
+    full run to about 0.5 s at trials = 1e5 on a 2-vCPU host.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -7,9 +7,10 @@ the rejection sampler conditions coverage trials on the serving tier by
 drawing both nearest distances and keeping the trials the rule assigns to
 it, the unpruned load sampler answers every nearest-BS query that the
 library's sampler may skip, the own-tier load window is a wider user
-disc that sizes each tier's reach by its own void alone, and the indexed
+disc that sizes each tier's reach by its own void alone, the indexed
 field exponent sums each interferer into its trial through an explicit
-per-interferer trial index.
+per-interferer trial index, and the serial coverage sampler runs the
+coverage batches one after another in the calling thread.
 """
 import math
 
@@ -32,6 +33,7 @@ from hetmec.montecarlo import (
     _LOAD_TAIL_LOG,
     _TAG_COVERAGE,
     _TAG_LOAD,
+    CoverageEstimate,
     McEstimate,
     _downlink_exponent,
     _far_field_exponent,
@@ -41,6 +43,7 @@ from hetmec.montecarlo import (
     _power_rule_small_wins,
     _rng,
     _serving_rule,
+    _serving_slope,
 )
 
 
@@ -110,6 +113,47 @@ def indexed_field_exponent(rng, density, power, s, exclusion2, window_scale):
     near = np.bincount(trial_of, weights=weights, minlength=s.size)
     exponent = s * near + _far_field_exponent(density, power, s, outer2)
     return exponent, int(trial_of.size)
+
+
+def serial_coverage(
+    params,
+    policy: Policy,
+    link: Link,
+    tier: Tier,
+    gamma: float,
+    trials: int,
+    seed: int = 0,
+    window_scale: float = 1.0,
+) -> CoverageEstimate:
+    """`montecarlo.empirical_coverage` with its batches run in a plain loop.
+
+    Batch after batch in the calling thread, each from its keyed generator;
+    the values are concatenated and the interferers summed in batch order.
+    The library's threaded batches must reproduce it bit for bit.
+    """
+    rate = math.pi * _serving_slope(params, _serving_rule(policy, link), tier)
+    tx_power = params.user_tx_power if link is Link.UL else tier_params(params, tier).tx_power
+    values = []
+    done = interferers = 0
+    batch_index = 0
+    while done < trials:
+        n = min(_BATCH, trials - done)
+        rng = _rng(seed, _TAG_COVERAGE, batch_index)
+        x2 = rng.standard_exponential(n)
+        x2 /= rate
+        s = gamma * x2 * x2 / tx_power
+        if link is Link.UL:
+            lam = params.macro.density + params.small.density
+            exponent, sampled = _field_exponent(rng, lam, tx_power, s, x2, window_scale)
+        else:
+            exponent, sampled = _downlink_exponent(rng, params, tier, x2, s, window_scale)
+        values.append(np.exp(-(s * params.noise_power + exponent)))
+        done += n
+        interferers += sampled
+        batch_index += 1
+    v = np.concatenate(values)
+    std_error = float(np.std(v, ddof=1)) / math.sqrt(trials) if trials > 1 else math.inf
+    return CoverageEstimate(float(np.mean(v)), std_error, trials, interferers)
 
 
 def rejection_coverage(

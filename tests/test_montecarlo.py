@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from hetmec.montecarlo import (
     _far_field_exponent,
     _field_exponent,
     _load_regions,
+    _map_batches,
     _mean_loads_by_rule,
     _nearest_distances,
     _needs_small_lookup,
@@ -37,6 +43,7 @@ from oracles import (
     indexed_field_exponent,
     own_tier_load_regions,
     rejection_coverage,
+    serial_coverage,
     served_by_counted_bs,
     unpruned_mean_loads,
 )
@@ -374,6 +381,151 @@ def test_narrow_window_keeps_outer_radius_beyond_exclusion():
         DEFAULTS, Policy.COUPLED, Link.UL, Tier.MACRO, 0.1, 200, seed=1, window_scale=0.5
     )
     assert 0.0 <= est.mean <= 1.0
+
+
+# The UL field and both DL tiers' fields; trials in one batch, exactly one
+# full batch, and three full batches and a partial one.
+THREADED_COMBINATIONS = [
+    (Policy.DECOUPLED, Link.UL, Tier.SMALL),
+    (Policy.COUPLED, Link.DL, Tier.MACRO),
+    (Policy.COUPLED, Link.DL, Tier.SMALL),
+]
+
+
+@pytest.mark.parametrize("cpus", [1, 64])
+@pytest.mark.parametrize("trials", [1, _BATCH, 3 * _BATCH + 17])
+@pytest.mark.parametrize("policy,link,tier", THREADED_COMBINATIONS)
+def test_threaded_coverage_matches_serial_batches(policy, link, tier, trials, cpus, monkeypatch):
+    # 64 CPUs ask for more threads than there are batches.
+    monkeypatch.setattr(hetmec.montecarlo, "_cpu_count", lambda: cpus)
+    gamma = DEFAULTS.ul_sinr_threshold if link is Link.UL else DEFAULTS.dl_sinr_threshold
+    got = empirical_coverage(DEFAULTS, policy, link, tier, gamma, trials, seed=71)
+    expected = serial_coverage(DEFAULTS, policy, link, tier, gamma, trials, seed=71)
+    assert (got.mean, got.std_error, got.trials, got.interferers) == (
+        expected.mean, expected.std_error, expected.trials, expected.interferers
+    )
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_failing_batch_reraises_and_pool_recovers(cpus, monkeypatch):
+    # Batch 3 of 3 * _BATCH + 17 trials is the only one of 17 trials.
+    trials = 3 * _BATCH + 17
+    gamma = DEFAULTS.ul_sinr_threshold
+    args = (DEFAULTS, Policy.DECOUPLED, Link.UL, Tier.SMALL, gamma, trials)
+    field_exponent = hetmec.montecarlo._field_exponent
+
+    def failing(rng, density, power, s, exclusion2, window_scale):
+        if s.size == 17:
+            raise RuntimeError("batch 3")
+        return field_exponent(rng, density, power, s, exclusion2, window_scale)
+
+    monkeypatch.setattr(hetmec.montecarlo, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(hetmec.montecarlo, "_field_exponent", failing)
+    with pytest.raises(RuntimeError) as excinfo:
+        empirical_coverage(*args, seed=72)
+    assert type(excinfo.value) is RuntimeError and str(excinfo.value) == "batch 3"
+    pool = hetmec.montecarlo._pool
+    monkeypatch.setattr(hetmec.montecarlo, "_field_exponent", field_exponent)
+    assert empirical_coverage(*args, seed=72) == serial_coverage(*args, seed=72)
+    assert hetmec.montecarlo._pool is pool
+
+
+def test_map_batches_claims_every_index_once(monkeypatch):
+    # More threads than CPUs and a short switch interval: a claim lost or
+    # taken twice would skip or repeat an index.
+    monkeypatch.setattr(hetmec.montecarlo, "_cpu_count", lambda: 8)
+    calls = []
+
+    def batch(index):
+        calls.append(index)
+        return index
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _map_batches(batch, 20_000)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == list(range(20_000))
+    assert sorted(calls) == got
+
+
+def _run_fresh(script: str) -> str:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_analytic_paths_start_no_thread():
+    # Neither the analytic report nor a figure sweep calls the sampler, so
+    # neither starts its threads; two coverage batches on two CPUs start one.
+    counts = _run_fresh(
+        """
+        import contextlib, io, threading
+        import hetmec
+        from hetmec import cli, montecarlo
+        from hetmec.association import Link, Policy, Tier
+        from hetmec.sweeps import figure_sweep_spec, run_sweep
+
+        print(threading.active_count())
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["analytic"]) == 0
+        run_sweep(figure_sweep_spec(2))
+        print(threading.active_count())
+        montecarlo._cpu_count = lambda: 2
+        montecarlo.empirical_coverage(
+            hetmec.default_params(), Policy.COUPLED, Link.UL, Tier.MACRO, 0.1,
+            2 * montecarlo._BATCH, seed=1,
+        )
+        print(threading.active_count())
+        """
+    )
+    assert counts == ["1", "1", "2"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_coverage_on_its_own_threads():
+    # A forked child inherits the parent's executor but none of its threads;
+    # it must build its own rather than wait on threads that do not exist.
+    out = _run_fresh(
+        """
+        import os, signal
+        import hetmec
+        from hetmec import montecarlo
+        from hetmec.association import Link, Policy, Tier
+
+        montecarlo._cpu_count = lambda: 2
+        args = (hetmec.default_params(), Policy.COUPLED, Link.UL, Tier.MACRO, 0.1,
+                2 * montecarlo._BATCH)
+        parent = montecarlo.empirical_coverage(*args, seed=1)
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(60)
+            same = montecarlo.empirical_coverage(*args, seed=1) == parent
+            os._exit(0 if same else 1)
+        _, status = os.waitpid(pid, 0)
+        print(os.waitstatus_to_exitcode(status))
+        """
+    )
+    assert out == ["0"]
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_load_sampler_matches_at_any_cpu_count(cpus, monkeypatch):
+    # Every KD-tree query is answered on its own, so the workers that share
+    # them change no distance or index.
+    expected = _mean_loads_by_rule(DEFAULTS, trials=60, seed=24)
+    monkeypatch.setattr(hetmec.montecarlo, "_cpu_count", lambda: cpus)
+    assert _mean_loads_by_rule(DEFAULTS, trials=60, seed=24) == expected
 
 
 def test_empirical_mean_load_matches_closed_forms():
