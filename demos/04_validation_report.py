@@ -2,7 +2,7 @@
 
 Runs the full analytic-vs-empirical comparison table (association
 probabilities, per-cell loads, coverage probabilities) and writes the
-machine-readable CSV next to this script.  Expect about 1.2 s on a 2-vCPU
+machine-readable CSV next to this script.  Expect about 1.1 s on a 2-vCPU
 machine, import included.
 """
 import pathlib

@@ -26,10 +26,13 @@ exp(-lambda pi sqrt(sP) arctan(sqrt(sP) / R^2)) (Andrews, Baccelli and
 Ganti, IEEE TCOM 2011), so the cut costs variance, not bias.  The standard
 error is the sample standard deviation of the per-trial values.
 
-Per-cell loads come from one realization of users and BSs, many trials side
-by side, with one KD-tree per BS tier.  Every user's nearest macro BS is
-looked up, its nearest small-cell BS only where that can change a counted
-cell; the skipped lookups cannot change any estimate.
+Per-cell loads come from one realization of BSs, many trials side by side,
+with one KD-tree per BS tier.  The users are counted by probes on a square
+lattice shifted by one uniform offset per trial, each probe standing for
+lambda_u h^2 users of a lattice of spacing h: unbiased for the mean load,
+with no Poisson count noise.  Every probe's nearest macro BS is looked up,
+its nearest small-cell BS only where that can change a counted cell; the
+skipped lookups cannot change any estimate.
 
 Two modeling conventions are intentionally mirrored from the analytic side
 (they are assumptions of the model, not artifacts of this sampler):
@@ -76,9 +79,17 @@ _INTERFERER_SPAN = 5.0
 _LOAD_TAIL_LOG = math.log(1e9)
 # Slack of the load sampler's small-cell lookup bound, in trial spacings.
 _LOOKUP_MARGIN = 1e-6
-# The load sampler refuses a point process expected to hold more points
-# than this over all its trials (about 0.5 GB of coordinates); the
-# reference point needs about 1.46e5 users (584 per trial) for 250 trials.
+# Spacing of the load sampler's probe lattice, in typical user spacings
+# 1 / sqrt(lambda_u).  A coarser lattice has fewer probes to look up but is
+# noisier where cells are much smaller than h^2, as a probe there is a coin
+# flip worth lambda_u h^2 users.  At 1.15 no load estimate's standard error
+# exceeds that of Poisson users in any scenario of the load tests, 40 dB
+# apart tier powers (tiny max-power small cells) being the tightest.
+_PROBE_SPACING = 1.15
+# The load sampler refuses a BS process expected to hold more points, or a
+# probe lattice with more candidate sites, than this over all its trials
+# (about 0.5 GB of coordinates); at the reference point the lattice has
+# 1.44e5 sites for 250 trials, about 1.10e5 of them probes (441 per trial).
 _MAX_LOAD_POINTS = float(1 << 25)
 
 
@@ -476,17 +487,60 @@ def _needs_small_lookup(
     return macro_interior | (d_m >= bound)
 
 
+def _probe_lattice(
+    rng: np.random.Generator, user_density: float, radius: float, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The load sampler's probes: a square lattice in each trial's user disc.
+
+    The lattice has spacing h = _PROBE_SPACING / sqrt(lambda_u) and is
+    shifted in each trial by one uniform offset in [0, h)^2 (a
+    Cranley-Patterson rotation, SIAM J. Numer. Anal. 1976), so any region
+    of area A holds A / h^2 probes on average and the probes, each standing
+    for lambda_u h^2 users, count its users without bias.  Returns the
+    probes of every trial, offset along x like the BSs, with their
+    distances to their trial centres and h.  Raises RuntimeError, naming
+    the probe lattice, before any probe array exists when the candidate
+    sites of all trials would number more than _MAX_LOAD_POINTS.
+    """
+    spacing = _PROBE_SPACING / math.sqrt(user_density)
+    reach = radius / spacing
+    # Whatever the shift, only the sites -floor(reach) - 1 .. floor(reach)
+    # of each axis can lie in the disc of radius reach * h.
+    half = math.floor(reach) + 1 if math.isfinite(reach) else math.inf
+    if (2 * half) ** 2 * len(offsets) > _MAX_LOAD_POINTS:
+        raise RuntimeError(
+            f"the probe lattice of the load sampler would span {(2 * half) ** 2:.3g} "
+            f"sites per trial (about {math.pi * reach * reach:.3g} probes) over "
+            f"{len(offsets)} trials, more than {_MAX_LOAD_POINTS:.3g} in all; its "
+            "spacing is too fine for its window"
+        )
+    sites = np.arange(-half, half)
+    shift = rng.random((2, len(offsets), 1))
+    # Site coordinates of each trial, one row per trial.
+    x = (sites + shift[0]) * spacing
+    y = (sites + shift[1]) * spacing
+    r2 = x[:, :, None] ** 2 + y[:, None, :] ** 2
+    inside = r2 <= radius * radius
+    x += offsets[:, None]
+    probes = np.empty((np.count_nonzero(inside), 2))
+    probes[:, 0] = np.broadcast_to(x[:, :, None], inside.shape)[inside]
+    probes[:, 1] = np.broadcast_to(y[:, None, :], inside.shape)[inside]
+    return probes, np.sqrt(r2[inside]), spacing
+
+
 @dataclass(frozen=True)
 class LoadEstimates:
     """Users per BS under both association rules, with the sampler's counts.
 
-    `by_rule` maps "power" and "nearest" to {tier: estimate}; `users` counts
-    the users sampled and `small_lookups` those whose nearest small-cell BS
-    was looked up.
+    `by_rule` maps "power" and "nearest" to {tier: estimate}; `probes`
+    counts the lattice probes, `spacing` is their lattice spacing in meters,
+    and `small_lookups` counts the probes whose nearest small-cell BS was
+    looked up.
     """
 
     by_rule: dict[str, dict[Tier, McEstimate]]
-    users: int
+    probes: int
+    spacing: float
     small_lookups: int
 
 
@@ -501,20 +555,22 @@ def _mean_loads_by_rule(
     Trials are laid out side by side on a line with a spacing that keeps
     them geometrically independent, so a single KD-tree per tier answers
     every nearest-BS query; the queries do not depend on the rule, so one
-    realization of users and BSs serves both.  The estimate is the ratio of
-    total users served by in-region BSs to the in-region BS count (unbiased
-    for the typical cell; the BS nearest the origin would be size-biased).
+    realization of BSs and lattice probes (_probe_lattice) serves both.
+    The estimate is the ratio of the users counted by probes served by
+    in-region BSs to the in-region BS count (unbiased for the typical cell;
+    the BS nearest the origin would be size-biased).
 
-    Every user's nearest macro BS is looked up, its nearest small-cell BS
+    Every probe's nearest macro BS is looked up, its nearest small-cell BS
     only where that can change an in-region count (_needs_small_lookup:
     the nearest macro BS is in-region, or no nearer than
-    rho - pick_small - margin, rho being the user's distance to its trial
-    centre).  Any other user is served out of region under both rules, so
+    rho - pick_small - margin, rho being the probe's distance to its trial
+    centre).  Any other probe is served out of region under both rules, so
     its small-cell distance is left at inf and the estimates are those of
-    looking up every user, bit for bit.
+    looking up every probe, bit for bit.
 
-    Raises RuntimeError, naming the process, when a Poisson mean is not
-    finite or would put more than _MAX_LOAD_POINTS points into one process.
+    Raises RuntimeError, naming the process or the probe lattice, when a
+    Poisson mean is not finite or one process or the lattice would hold
+    more than _MAX_LOAD_POINTS points.
     """
     # Imported here: scipy.spatial costs every `import hetmec` about 0.13 s
     # and only this sampler needs it.
@@ -561,42 +617,48 @@ def _mean_loads_by_rule(
             # A trial with no BS of a nonzero-density tier cannot resolve
             # nearest queries; astronomically unlikely at these radii.
             raise RuntimeError("a trial sampled zero base stations; enlarge the window")
+        # The small-cell tree holds the most BSs and answers only the pruned
+        # lookups, so its build outweighs its queries and the cheaper
+        # unbalanced, non-compact build pays; the macro tree gains nothing
+        # from it.  No tree's shape changes a nearest distance or index.
+        options = {"balanced_tree": False, "compact_nodes": False} if tier is Tier.SMALL else {}
         bs[tier] = {
-            "tree": cKDTree(pts),
+            "tree": cKDTree(pts, **options),
             "trial_of": np.repeat(np.arange(trials), counts),
             "interior": radial <= geo["picks"][tier],
             "n": pts.shape[0],
         }
 
-    users, _, user_radial = sample_process("user", params.user_density, geo["r_user"])
-    n_users = users.shape[0]
+    probes, probe_radial, spacing = _probe_lattice(rng, params.user_density, geo["r_user"], offsets)
+    n_probes = probes.shape[0]
     # Each query is answered on its own, so splitting them over threads
     # leaves every distance and index as it is.
     workers = _cpu_count()
 
     macro = bs[Tier.MACRO]
-    d_m, i_m = macro["tree"].query(users, k=1, workers=workers)
+    d_m, i_m = macro["tree"].query(probes, k=1, workers=workers)
     asked = np.zeros(0, dtype=np.int64)
     if bs[Tier.SMALL] is not None:
         asked = np.flatnonzero(
             _needs_small_lookup(
-                d_m, macro["interior"][i_m], user_radial, geo["picks"][Tier.SMALL], geo["spacing"]
+                d_m, macro["interior"][i_m], probe_radial, geo["picks"][Tier.SMALL], geo["spacing"]
             )
         )
-    asked_users = users[asked]
-    # Free the user coordinates before the full-size small-cell arrays and
+    asked_probes = probes[asked]
+    # Free the probe coordinates before the full-size small-cell arrays and
     # the per-rule temporaries: they would set the sampler's peak memory.
-    del users, user_radial
-    d_s = np.full(n_users, np.inf)
-    i_s = np.zeros(n_users, dtype=np.int64)
+    del probes, probe_radial
+    d_s = np.full(n_probes, np.inf)
+    i_s = np.zeros(n_probes, dtype=np.int64)
     if asked.size:
-        d_s[asked], i_s[asked] = bs[Tier.SMALL]["tree"].query(asked_users, k=1, workers=workers)
+        d_s[asked], i_s[asked] = bs[Tier.SMALL]["tree"].query(asked_probes, k=1, workers=workers)
     index = {Tier.MACRO: i_m, Tier.SMALL: i_s}
 
     small_wins_by_rule = {
         "power": _power_rule_small_wins(params, d_m, d_s),
         "nearest": d_s < d_m,
     }
+    users_per_probe = params.user_density * spacing * spacing
     out = {}
     for rule, small_wins in small_wins_by_rule.items():
         out[rule] = {}
@@ -610,6 +672,7 @@ def _mean_loads_by_rule(
             totals = np.bincount(
                 info["trial_of"][interior], weights=per_bs[interior], minlength=trials
             )
+            totals *= users_per_probe
             cells = np.bincount(info["trial_of"][interior], minlength=trials)
             total_cells = int(cells.sum())
             if total_cells == 0:
@@ -620,4 +683,4 @@ def _mean_loads_by_rule(
             if trials > 1:
                 var *= trials / (trials - 1)
             out[rule][tier] = McEstimate(est, math.sqrt(var), trials)
-    return LoadEstimates(out, int(n_users), int(asked.size))
+    return LoadEstimates(out, int(n_probes), spacing, int(asked.size))

@@ -5,12 +5,14 @@ quadrature oracle of the coverage closed form, the noise-free limits are
 the interference-limited coverages the general closed form must reduce to,
 the rejection sampler conditions coverage trials on the serving tier by
 drawing both nearest distances and keeping the trials the rule assigns to
-it, the unpruned load sampler answers every nearest-BS query that the
-library's sampler may skip, the own-tier load window is a wider user
-disc that sizes each tier's reach by its own void alone, the indexed
-field exponent sums each interferer into its trial through an explicit
-per-interferer trial index, and the serial coverage sampler runs the
-coverage batches one after another in the calling thread.
+it, the unpruned load sampler builds the probe lattice trial by trial and
+answers every nearest-BS query that the library's sampler may skip, the
+user-process load sampler counts Poisson users instead of lattice probes,
+the own-tier load window is a wider user disc that sizes each tier's
+reach by its own void alone, the indexed field exponent sums each
+interferer into its trial through an explicit per-interferer trial index,
+and the serial coverage sampler runs the coverage batches one after
+another in the calling thread.
 """
 import math
 
@@ -31,6 +33,7 @@ from hetmec.montecarlo import (
     _BATCH,
     _INTERFERER_SPAN,
     _LOAD_TAIL_LOG,
+    _PROBE_SPACING,
     _TAG_COVERAGE,
     _TAG_LOAD,
     CoverageEstimate,
@@ -224,27 +227,13 @@ def own_tier_load_regions(params) -> dict:
     return {"picks": picks, "r_user": r_user, "r_bs": r_bs, "spacing": 4.0 * max(r_bs.values())}
 
 
-def _unpruned_realization(params, trials: int, seed: int, geo: dict):
-    """One load realization drawn as `montecarlo._mean_loads_by_rule` draws it.
+def _bs_tiers(params, trials: int, rng, geo: dict, offsets):
+    """Both BS tiers of one load realization, each in a default KD-tree.
 
-    Same generator and order of draws, in the regions `geo`; every user is
-    looked up in both KD-trees.  Returns the BS tiers, each user's distance
-    to its trial centre, its nearest BS index per tier, and per rule whether
-    the small-cell BS wins.
+    Drawn as `montecarlo._mean_loads_by_rule` draws them: same generator,
+    same order of draws, in the regions `geo`.
     """
     from scipy.spatial import cKDTree
-
-    rng = _rng(seed, _TAG_LOAD)
-    offsets = np.arange(trials) * geo["spacing"]
-
-    def sample_process(density: float, radius: float):
-        counts = rng.poisson(density * math.pi * radius * radius, trials)
-        total = int(counts.sum())
-        r = radius * np.sqrt(rng.random(total))
-        theta = 2.0 * math.pi * rng.random(total)
-        pts = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-        pts[:, 0] += np.repeat(offsets, counts)
-        return pts, np.repeat(np.arange(trials), counts), r
 
     bs = {}
     for tier in (Tier.MACRO, Tier.SMALL):
@@ -252,35 +241,88 @@ def _unpruned_realization(params, trials: int, seed: int, geo: dict):
         if lam == 0.0:
             bs[tier] = None
             continue
-        pts, trial_of, radial = sample_process(lam, geo["r_bs"][tier])
+        pts, trial_of, radial = _poisson_discs(rng, trials, offsets, lam, geo["r_bs"][tier])
         bs[tier] = {
             "tree": cKDTree(pts),
             "trial_of": trial_of,
             "interior": radial <= geo["picks"][tier],
             "n": pts.shape[0],
         }
-    users, _, user_radial = sample_process(params.user_density, geo["r_user"])
+    return bs
 
+
+def _poisson_discs(rng, trials: int, offsets, density: float, radius: float):
+    """Poisson points in each trial's disc of the given radius, offset along x;
+    with each point's trial and its distance to its trial centre."""
+    counts = rng.poisson(density * math.pi * radius * radius, trials)
+    total = int(counts.sum())
+    r = radius * np.sqrt(rng.random(total))
+    theta = 2.0 * math.pi * rng.random(total)
+    pts = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    pts[:, 0] += np.repeat(offsets, counts)
+    return pts, np.repeat(np.arange(trials), counts), r
+
+
+def _shifted_lattice(rng, trials: int, offsets, user_density: float, radius: float):
+    """The probes of `montecarlo._probe_lattice`, built trial by trial.
+
+    The same shifts from the same draw; each trial's candidate sites span a
+    square wider than the disc, and a site is a probe when it lies in the
+    disc.  Returns the probes and the users each stands for.
+    """
+    spacing = _PROBE_SPACING / math.sqrt(user_density)
+    half = math.ceil(radius / spacing) + 2
+    sites = np.arange(-half, half + 1)
+    shift = rng.random((2, trials))
+    probes = []
+    for t in range(trials):
+        x = (sites + shift[0, t]) * spacing
+        y = (sites + shift[1, t]) * spacing
+        gx, gy = np.meshgrid(x, y, indexing="ij")
+        inside = gx**2 + gy**2 <= radius * radius
+        probes.append(np.column_stack((gx[inside] + offsets[t], gy[inside])))
+    return np.concatenate(probes), user_density * spacing * spacing
+
+
+def _lookups(params, bs, points):
+    """Each point's nearest BS index per tier, both trees queried for every
+    point, and per rule whether the small-cell BS wins."""
     dist = {}
     index = {}
     for tier, info in bs.items():
         if info is None:
-            dist[tier] = np.full(users.shape[0], np.inf)
-            index[tier] = np.zeros(users.shape[0], dtype=np.int64)
+            dist[tier] = np.full(points.shape[0], np.inf)
+            index[tier] = np.zeros(points.shape[0], dtype=np.int64)
         else:
-            dist[tier], index[tier] = info["tree"].query(users, k=1)
-
+            dist[tier], index[tier] = info["tree"].query(points, k=1, workers=-1)
     small_wins_by_rule = {
         "power": _power_rule_small_wins(params, dist[Tier.MACRO], dist[Tier.SMALL]),
         "nearest": dist[Tier.SMALL] < dist[Tier.MACRO],
     }
+    return index, small_wins_by_rule
+
+
+def _user_realization(params, trials: int, seed: int, geo: dict):
+    """One load realization of BSs and Poisson users in the regions `geo`.
+
+    The BSs are drawn as `montecarlo._mean_loads_by_rule` draws them, the
+    users after them from the same generator; every user is looked up in
+    both KD-trees.  Returns the BS tiers, each user's distance to its trial
+    centre, its nearest BS index per tier, and per rule whether the
+    small-cell BS wins.
+    """
+    rng = _rng(seed, _TAG_LOAD)
+    offsets = np.arange(trials) * geo["spacing"]
+    bs = _bs_tiers(params, trials, rng, geo, offsets)
+    users, _, user_radial = _poisson_discs(rng, trials, offsets, params.user_density, geo["r_user"])
+    index, small_wins_by_rule = _lookups(params, bs, users)
     return bs, user_radial, index, small_wins_by_rule
 
 
 def served_by_counted_bs(params, trials: int, seed: int, geo: dict):
     """Each user's distance to its trial centre and, per rule, whether a
     counted (in-region) BS serves it, on a realization drawn in `geo`."""
-    bs, user_radial, index, small_wins_by_rule = _unpruned_realization(params, trials, seed, geo)
+    bs, user_radial, index, small_wins_by_rule = _user_realization(params, trials, seed, geo)
     counted = {}
     for rule, small_wins in small_wins_by_rule.items():
         hit = np.zeros(user_radial.size, dtype=bool)
@@ -292,15 +334,9 @@ def served_by_counted_bs(params, trials: int, seed: int, geo: dict):
     return user_radial, counted
 
 
-def unpruned_mean_loads(params, trials: int, seed: int, window_scale: float = 1.0):
-    """Users per BS under both rules, querying both KD-trees for every user.
-
-    Draws the same realization as `montecarlo._mean_loads_by_rule` (same
-    generator, same order of draws) and returns {rule: {tier: estimate}};
-    the library's sampler must reproduce it bit for bit.
-    """
-    geo = _load_regions(params, window_scale)
-    bs, _, index, small_wins_by_rule = _unpruned_realization(params, trials, seed, geo)
+def _ratio_estimates(bs, index, small_wins_by_rule, trials: int, users_per_point: float):
+    """{rule: {tier: users per in-region BS}}, the ratio estimator of
+    `montecarlo._mean_loads_by_rule` with its standard error."""
     out = {}
     for rule, small_wins in small_wins_by_rule.items():
         out[rule] = {}
@@ -314,6 +350,7 @@ def unpruned_mean_loads(params, trials: int, seed: int, window_scale: float = 1.
             totals = np.bincount(
                 info["trial_of"][interior], weights=per_bs[interior], minlength=trials
             )
+            totals *= users_per_point
             cells = np.bincount(info["trial_of"][interior], minlength=trials)
             total_cells = int(cells.sum())
             est = float(totals.sum()) / total_cells
@@ -323,3 +360,36 @@ def unpruned_mean_loads(params, trials: int, seed: int, window_scale: float = 1.
                 var *= trials / (trials - 1)
             out[rule][tier] = McEstimate(est, math.sqrt(var), trials)
     return out
+
+
+def unpruned_mean_loads(params, trials: int, seed: int, window_scale: float = 1.0):
+    """Users per BS under both rules, querying both KD-trees for every probe.
+
+    Draws the same realization as `montecarlo._mean_loads_by_rule` (same
+    generator, same order of draws: both BS tiers, then the lattice shifts)
+    and returns {rule: {tier: estimate}} with the number of probes; the
+    library's sampler must reproduce both bit for bit.
+    """
+    geo = _load_regions(params, window_scale)
+    rng = _rng(seed, _TAG_LOAD)
+    offsets = np.arange(trials) * geo["spacing"]
+    bs = _bs_tiers(params, trials, rng, geo, offsets)
+    probes, users_per_probe = _shifted_lattice(
+        rng, trials, offsets, params.user_density, geo["r_user"]
+    )
+    index, small_wins_by_rule = _lookups(params, bs, probes)
+    estimates = _ratio_estimates(bs, index, small_wins_by_rule, trials, users_per_probe)
+    return estimates, probes.shape[0]
+
+
+def user_process_mean_loads(params, trials: int, seed: int, window_scale: float = 1.0):
+    """Users per BS under both rules from Poisson users instead of probes.
+
+    The load sampler as it was before the probe lattice: the same BS
+    realization, then a Poisson user process in the user disc, every user
+    looked up in both trees and counted once.  Returns {rule: {tier:
+    estimate}}, the statistical reference of the lattice's estimates.
+    """
+    geo = _load_regions(params, window_scale)
+    bs, _, index, small_wins_by_rule = _user_realization(params, trials, seed, geo)
+    return _ratio_estimates(bs, index, small_wins_by_rule, trials, 1.0)

@@ -3,6 +3,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -390,6 +391,12 @@ def test_validation_makes_one_load_pass_and_notes_sampler_counts(monkeypatch):
     ]
     # One note for the load sampler, then one per coverage row.
     assert sampler_rows == ["loads"] + coverage_rows
+    loads_note = next(note for note in report.notes if note.startswith("sampler loads: "))
+    assert re.fullmatch(
+        r"sampler loads: probes \d+ \(spacing 230 m, 1\.322 users each\),"
+        r" small-cell lookups \d+ \(0\.\d{4} of probes\)",
+        loads_note,
+    ), loads_note
 
 
 def test_validate_small_run_passes_with_csv(tmp_path, capsys):
@@ -406,17 +413,29 @@ def test_validate_small_run_passes_with_csv(tmp_path, capsys):
     assert len(lines) >= 20
 
 
-def test_validate_reports_unsampleable_scenario_as_validation_outcome(tmp_path, capsys):
-    # A valid scenario whose load-sampler window would need ~1e301 points per
-    # trial: no verdict is possible, which is exit 4, not a configuration error.
+@pytest.mark.parametrize(
+    "text, refused",
+    [
+        # A load-sampler window that would need ~1e301 macro BSs per trial.
+        ("p_m_dbm = 1500\np_s_dbm = -1500\nlambda_s_per_km2 = 1e-300\n", "macro BS process"),
+        # A probe lattice about 1.5e-12 m fine, ~1e31 probes per trial.
+        ("lambda_u_per_km2 = 1e30\n", "probe lattice"),
+    ],
+    ids=["bs_window", "probe_lattice"],
+)
+def test_validate_reports_unsampleable_scenario_as_validation_outcome(
+    tmp_path, capsys, text, refused
+):
+    # A valid scenario the load sampler cannot realize: no verdict is
+    # possible, which is exit 4, not a configuration error.
     cfg = tmp_path / "extreme.cfg"
-    cfg.write_text("p_m_dbm = 1500\np_s_dbm = -1500\nlambda_s_per_km2 = 1e-300\n")
+    cfg.write_text(text)
     assert main(["analytic", "--config", str(cfg)]) == 0
     capsys.readouterr()
     assert main(["validate", "--config", str(cfg), "--trials", "2000"]) == 4
     err = capsys.readouterr().err
     assert "validation not possible: " in err
-    assert "macro BS process" in err
+    assert refused in err
 
 
 def test_validate_estimates_coverage_of_a_tier_almost_never_picked(tmp_path, capsys):

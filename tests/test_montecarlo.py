@@ -33,6 +33,7 @@ from hetmec.montecarlo import (
     _mean_loads_by_rule,
     _nearest_distances,
     _needs_small_lookup,
+    _power_rule_small_wins,
     _rng,
     _serving_rule,
     _serving_slope,
@@ -46,6 +47,7 @@ from oracles import (
     serial_coverage,
     served_by_counted_bs,
     unpruned_mean_loads,
+    user_process_mean_loads,
 )
 
 DEFAULTS = params_from_raw({})
@@ -539,8 +541,43 @@ def test_empirical_mean_load_matches_closed_forms():
         assert abs(est.mean - target) < 3.0 * est.std_error
 
 
-def test_empirical_load_user_conservation():
-    # loads weighted by BS density must add back to the user density
+def test_empirical_load_probe_conservation(monkeypatch):
+    # Under each rule, in every realization, the probes assigned to that
+    # realization's BSs add up exactly to the probes drawn in it: each probe
+    # is served once, by a BS of its own trial.
+    from scipy import spatial
+
+    trees = []
+
+    class RecordingTree(spatial.cKDTree):
+        def query(self, x, *args, **kwargs):
+            d, i = super().query(x, *args, **kwargs)
+            trees.append((self.data, np.array(x), d, i))
+            return d, i
+
+    monkeypatch.setattr(spatial, "cKDTree", RecordingTree)
+    trials = 60
+    loads = _mean_loads_by_rule(DEFAULTS, trials=trials, seed=23)
+    (macro_bs, probes, d_m, i_m), (small_bs, asked_probes, d_s_asked, i_s_asked) = trees
+    assert probes.shape[0] == loads.probes
+    spacing = _load_regions(DEFAULTS, 1.0)["spacing"]
+
+    def trial(points):
+        return np.rint(points[:, 0] / spacing).astype(np.int64)
+
+    row_of = {tuple(p): k for k, p in enumerate(probes)}
+    asked = np.array([row_of[tuple(p)] for p in asked_probes], dtype=np.int64)
+    d_s = np.full(probes.shape[0], np.inf)
+    d_s[asked] = d_s_asked
+    i_s = np.zeros(probes.shape[0], dtype=np.int64)
+    i_s[asked] = i_s_asked
+    drawn = np.bincount(trial(probes), minlength=trials)
+    assert drawn.sum() == loads.probes and np.all(drawn > 0)
+    for small_wins in (_power_rule_small_wins(DEFAULTS, d_m, d_s), d_s < d_m):
+        served_trial = np.where(small_wins, trial(small_bs)[i_s], trial(macro_bs)[i_m])
+        assert np.array_equal(np.bincount(served_trial, minlength=trials), drawn)
+
+    # Loads weighted by BS density add back to the user density.
     lam_m = DEFAULTS.macro.density
     lam_s = DEFAULTS.small.density
     loads = _mean_loads_by_rule(DEFAULTS, trials=400, seed=23).by_rule["power"]
@@ -576,11 +613,13 @@ LOAD_CONFIGS = {
 def test_pruned_load_lookups_match_unpruned_sampler(config, seed):
     # Skipping the small-cell lookup where it cannot change an in-region cell
     # must leave every estimate, mean and standard error, bit for bit as it is
-    # when every user is looked up in both trees.
+    # when every probe is looked up in both trees; and the lattice must
+    # hold the probes of one built trial by trial from a wider square.
     raw, window_scale = LOAD_CONFIGS[config]
     params = params_from_raw(raw)
     loads = _mean_loads_by_rule(params, trials=30, seed=seed, window_scale=window_scale)
-    expected = unpruned_mean_loads(params, trials=30, seed=seed, window_scale=window_scale)
+    expected, probes = unpruned_mean_loads(params, trials=30, seed=seed, window_scale=window_scale)
+    assert loads.probes == probes
     for rule, by_tier in expected.items():
         for tier, estimate in by_tier.items():
             got = loads.by_rule[rule][tier]
@@ -590,17 +629,41 @@ def test_pruned_load_lookups_match_unpruned_sampler(config, seed):
 
 
 def test_load_sampler_looks_up_few_small_cells():
-    # The users whose nearest macro BS is in-region fill, on average, the
-    # in-region disc's area (lambda_u pi pick_macro^2, about 100 at the
-    # reference point); the small-cell lookups are those users plus a thin
-    # band near the small-cell pick region, about 119 per trial, whatever
-    # the width of the user disc.
+    # The probes whose nearest macro BS is in-region fill, on average, the
+    # in-region disc's area (pi pick_macro^2 / h^2, about 76 at the
+    # reference point); the small-cell lookups are those probes plus a thin
+    # band near the small-cell pick region, about 89 per trial, whatever
+    # the width of the probe disc.
     trials = 60
     loads = _mean_loads_by_rule(DEFAULTS, trials=trials, seed=43)
     pick_macro = _load_regions(DEFAULTS, 1.0)["picks"][Tier.MACRO]
-    in_region_users = DEFAULTS.user_density * math.pi * pick_macro**2 * trials
-    assert loads.users > 0
-    assert in_region_users <= loads.small_lookups <= 1.5 * in_region_users
+    in_region_probes = math.pi * pick_macro**2 / loads.spacing**2 * trials
+    assert loads.probes > 0
+    assert in_region_probes <= loads.small_lookups <= 1.5 * in_region_probes
+
+
+@pytest.mark.parametrize("config", ["reference", "dense_small"])
+def test_lattice_loads_match_user_process(config):
+    # The shifted lattice counts each cell's users without bias: its loads
+    # agree with those of the Poisson user process it replaced, drawn on an
+    # independent realization.
+    params = params_from_raw(LOAD_CONFIGS[config][0])
+    lattice = _mean_loads_by_rule(params, trials=400, seed=45).by_rule
+    users = user_process_mean_loads(params, trials=400, seed=46)
+    for rule, by_tier in users.items():
+        for tier, reference in by_tier.items():
+            got = lattice[rule][tier]
+            se = math.hypot(got.std_error, reference.std_error)
+            assert abs(got.mean - reference.mean) < 4.0 * se, (rule, tier)
+
+
+def test_load_sampler_refuses_a_lattice_too_fine_before_drawing_it():
+    # At 1e30 users per km^2 the probe spacing is about 1.5e-12 m: the
+    # lattice is refused by its site count, before any probe array exists
+    # (allocating its sites would fail with a MemoryError instead).
+    params = params_from_raw({"lambda_u_per_km2": 1e30})
+    with pytest.raises(RuntimeError, match="probe lattice"):
+        _mean_loads_by_rule(params, trials=160, seed=47)
 
 
 WINDOW_CONFIGS = {
