@@ -32,5 +32,5 @@ for policy in Policy:
 
 print("\n=== Monte Carlo cross-check (50k sampled deployments) ===")
 freq = empirical_association(params, trials=50_000, seed=1)
-for name, estimate in freq.estimates.items():
+for name, estimate in freq.items():
     print(f"{name:24s} {estimate.mean:.5f} +- {estimate.std_error:.5f}")

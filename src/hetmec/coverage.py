@@ -103,18 +103,6 @@ def ul_coverage(
     if tier_params(params, tier).density == 0.0:
         raise ValueError(f"tier {tier.value} has zero density; no uplink coverage defined")
     lam_tilde = thinned_user_density(params)
-    return _ul_coverage_with_density(params, policy, tier, gamma_ul, lam_tilde)
-
-
-def _ul_coverage_with_density(
-    params: ScenarioParams,
-    policy: Policy,
-    tier: Tier,
-    gamma_ul: float,
-    lam_tilde: float,
-) -> float:
-    # Split out so tests can vary the interferer density independently of
-    # the BS densities that shape the serving-distance PDF.
     noise_coeff = gamma_ul * params.noise_power / params.user_tx_power
     interf_coeff = math.pi * lam_tilde * psi(gamma_ul)
     return _coverage_integral(params, policy, tier, noise_coeff, interf_coeff)

@@ -5,14 +5,13 @@ processes for both BS tiers and the users, max-power or nearest-BS
 association applied to the sampled points, and exponential (Rayleigh-power)
 fading on every interfering link.  For the association tallies a nearest-BS
 distance is drawn from one uniform by inverting the void probability
-P(d > r) = exp(-lambda pi r^2), with the draws whose disc would be empty
-redrawn.  A coverage trial draws its serving distance from its law given
-the serving tier (_serving_slope); given that distance each interferer
-field is a PPP outside its exclusion disc, so no trial is rejected.  No
-coverage integral is consulted and nothing of the analytic modules is
-called: the sampler computes that law's rate itself, and a test holds its
-draws to a rejection-conditioned reference.  Agreement with the analytic
-modules is therefore evidence of implementation fidelity.
+P(d > r) = exp(-lambda pi r^2).  A coverage trial draws its serving distance
+from its law given the serving tier (_serving_slope); given that distance
+each interferer field is a PPP outside its exclusion disc, so no trial is
+rejected.  No coverage integral is consulted and nothing of the analytic
+modules is called: the sampler computes that law's rate itself, and a test
+holds its draws to a rejection-conditioned reference.  Agreement with the
+analytic modules is therefore evidence of implementation fidelity.
 
 Coverage is Rao-Blackwellised.  Given the serving distance x and the
 sampled interference I, the serving fade is averaged out exactly: a trial
@@ -45,10 +44,10 @@ Two modeling conventions are intentionally mirrored from the analytic side
 
 Randomness is keyed: every operation derives its generators from
 (seed, operation tag, batch index) via numpy's SeedSequence, so results are
-bit-reproducible for a given (params, seed, trials).  The coverage batches
-run in parallel on the process's CPUs (_map_batches), as do the load
-sampler's KD-tree queries, and are reduced in batch order, so no estimate
-depends on the number of threads.
+bit-reproducible for a given (params, seed, trials).  The association and
+coverage batches run in parallel on the process's CPUs (_map_batches), as
+do the load sampler's KD-tree queries, and are reduced in batch order, so
+no estimate depends on the number of threads.
 """
 from __future__ import annotations
 
@@ -70,8 +69,6 @@ _TAG_COVERAGE = 3
 _TAG_LOAD = 4
 
 _BATCH = 1 << 13
-# Radius multiplier for nearest-BS sampling: void probability exp(-27.6).
-_VOID_LOG = math.log(1e12)
 # Interferers are sampled out to 5 typical spacings, or 1.5 times the trial's
 # exclusion radius if that is wider (about 25 points per field per trial);
 # the field beyond enters through its Laplace functional.
@@ -170,39 +167,19 @@ class McEstimate:
     trials: int
 
 
-@dataclass(frozen=True)
-class AssociationFrequencies:
-    estimates: dict[str, McEstimate]
-    resampled: int
-    trials: int
-
-
-def _nearest_distances(
-    rng: np.random.Generator, density: float, n: int, window_scale: float
-) -> tuple[np.ndarray, int]:
+def _nearest_distances(rng: np.random.Generator, density: float, n: int) -> np.ndarray:
     """Distance from the origin to the nearest point of a PPP, per trial.
 
     The nearest point of a PPP of density lambda lies at squared distance
     d^2 = -log(U) / (pi lambda) for U uniform on (0, 1), one uniform per
-    trial.  Its disc of radius R, wide enough that it is empty with
-    probability ~1e-12, is empty exactly when U < exp(-lambda pi R^2); those
-    draws are redrawn and counted, so the law is the nearest-point law given
-    a nonempty disc, as if the disc's points had been drawn.
+    trial; an empty process has no nearest point, so every distance is inf.
     """
     if density == 0.0:
-        return np.full(n, np.inf), 0
-    radius = math.sqrt(_VOID_LOG / (math.pi * density)) * window_scale
-    p_empty = math.exp(-density * math.pi * radius * radius)
+        return np.full(n, np.inf)
     u = rng.random(n)
-    empty = np.flatnonzero(u < p_empty)
-    resampled = 0
-    while empty.size:
-        resampled += int(empty.size)
-        u[empty] = rng.random(empty.size)
-        empty = empty[u[empty] < p_empty]
     np.log(u, out=u)
     u *= -1.0 / (math.pi * density)
-    return np.sqrt(u, out=u), resampled
+    return np.sqrt(u, out=u)
 
 
 def _power_rule_small_wins(params: ScenarioParams, d_m: np.ndarray, d_s: np.ndarray) -> np.ndarray:
@@ -212,49 +189,48 @@ def _power_rule_small_wins(params: ScenarioParams, d_m: np.ndarray, d_s: np.ndar
 
 
 def empirical_association(
-    params: ScenarioParams, trials: int, seed: int = 0, window_scale: float = 1.0
-) -> AssociationFrequencies:
+    params: ScenarioParams, trials: int, seed: int = 0
+) -> dict[str, McEstimate]:
     """Tally the joint (uplink tier, downlink tier) outcome over many trials.
 
     Each trial samples both tiers fresh, puts the probe user at the origin,
     and applies the nearest-BS rule for the uplink and the max-power rule
-    for the downlink (the coupled outcome is the downlink winner).
+    for the downlink (the coupled outcome is the downlink winner).  Returns
+    an estimate per outcome, keyed by its validation row name.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    counts = {"ss": 0, "mm": 0, "sm": 0, "ms": 0, "coupled_s": 0}
-    resampled = 0
-    done = 0
-    batch_index = 0
-    while done < trials:
-        n = min(_BATCH, trials - done)
-        rng = _rng(seed, _TAG_ASSOCIATION, batch_index)
-        d_m, res_m = _nearest_distances(rng, params.macro.density, n, window_scale)
-        d_s, res_s = _nearest_distances(rng, params.small.density, n, window_scale)
-        resampled += res_m + res_s
+
+    def batch(index: int) -> tuple[int, ...]:
+        rng = _rng(seed, _TAG_ASSOCIATION, index)
+        n = min(_BATCH, trials - index * _BATCH)
+        d_m = _nearest_distances(rng, params.macro.density, n)
+        d_s = _nearest_distances(rng, params.small.density, n)
         dl_small = _power_rule_small_wins(params, d_m, d_s)
         ul_small = d_s < d_m
-        counts["ss"] += int(np.sum(ul_small & dl_small))
-        counts["mm"] += int(np.sum(~ul_small & ~dl_small))
-        counts["sm"] += int(np.sum(ul_small & ~dl_small))
-        counts["ms"] += int(np.sum(~ul_small & dl_small))
-        counts["coupled_s"] += int(np.sum(dl_small))
-        done += n
-        batch_index += 1
+        return (
+            int(np.sum(ul_small & dl_small)),
+            int(np.sum(~ul_small & ~dl_small)),
+            int(np.sum(ul_small & ~dl_small)),
+            int(np.sum(~ul_small & dl_small)),
+            int(np.sum(dl_small)),
+        )
+
+    # Integer counts: their sums are exact whatever the batches' threads.
+    ss, mm, sm, ms, coupled_s = map(sum, zip(*_map_batches(batch, -(-trials // _BATCH))))
 
     def estimate(k: int) -> McEstimate:
         p = k / trials
         return McEstimate(p, math.sqrt(p * (1.0 - p) / trials), trials)
 
-    estimates = {
-        "assoc_dec_small_small": estimate(counts["ss"]),
-        "assoc_dec_macro_macro": estimate(counts["mm"]),
-        "assoc_dec_small_macro": estimate(counts["sm"]),
-        "assoc_dec_macro_small": estimate(counts["ms"]),
-        "assoc_coupled_small": estimate(counts["coupled_s"]),
-        "assoc_coupled_macro": estimate(trials - counts["coupled_s"]),
+    return {
+        "assoc_dec_small_small": estimate(ss),
+        "assoc_dec_macro_macro": estimate(mm),
+        "assoc_dec_small_macro": estimate(sm),
+        "assoc_dec_macro_small": estimate(ms),
+        "assoc_coupled_small": estimate(coupled_s),
+        "assoc_coupled_macro": estimate(trials - coupled_s),
     }
-    return AssociationFrequencies(estimates=estimates, resampled=resampled, trials=trials)
 
 
 def _serving_rule(policy: Policy, link: Link) -> str:
@@ -282,26 +258,22 @@ def _field_exponent(
     power: float,
     s: np.ndarray,
     exclusion2: np.ndarray,
-    window_scale: float,
 ) -> tuple[np.ndarray, int]:
     """s * I_near plus the far-field exponent of one interferer field.
 
     Interferers of a Rayleigh-faded PPP of the given density and power lie
     beyond the per-trial exclusion radius.  Each trial has its own outer
     radius R, the larger of _INTERFERER_SPAN typical spacings and 1.5 times
-    its exclusion radius (both times window_scale), but never inside the
-    exclusion radius, which a window_scale below 2/3 would otherwise allow;
-    the interferers between the two radii are sampled with their fades, the
-    field beyond R enters through its exact Laplace functional.  Also
-    returns the number of interferers sampled.  The interferers are drawn
-    trial after trial, so each trial's points are one contiguous segment of
-    the per-interferer arrays: squared radii uniform on [exclusion2, outer2],
-    then the weights P h / r^4, summed over each segment.  A trial that
-    draws no interferer has I_near exactly 0.
+    its exclusion radius; the interferers between the two radii are sampled
+    with their fades, the field beyond R enters through its exact Laplace
+    functional.  Also returns the number of interferers sampled.  The
+    interferers are drawn trial after trial, so each trial's points are one
+    contiguous segment of the per-interferer arrays: squared radii uniform on
+    [exclusion2, outer2], then the weights P h / r^4, summed over each
+    segment.  A trial that draws no interferer has I_near exactly 0.
     """
     spans2 = _INTERFERER_SPAN * _INTERFERER_SPAN / (math.pi * density)
-    outer2 = np.maximum(spans2, 2.25 * exclusion2) * (window_scale * window_scale)
-    outer2 = np.maximum(outer2, exclusion2)
+    outer2 = np.maximum(spans2, 2.25 * exclusion2)
     width = outer2 - exclusion2
     counts = rng.poisson(density * math.pi * width)
     total = int(counts.sum())
@@ -327,7 +299,6 @@ def _downlink_exponent(
     serving: Tier,
     x2: np.ndarray,
     s: np.ndarray,
-    window_scale: float,
 ) -> tuple[np.ndarray, int]:
     """Interference exponent at the user from every non-serving BS.
 
@@ -345,7 +316,7 @@ def _downlink_exponent(
             continue
         exclusion2 = (tier_p.tx_power / p_serving) ** (2.0 / alpha) * x2
         tier_exponent, tier_sampled = _field_exponent(
-            rng, tier_p.density, tier_p.tx_power, s, exclusion2, window_scale
+            rng, tier_p.density, tier_p.tx_power, s, exclusion2
         )
         exponent += tier_exponent
         sampled += tier_sampled
@@ -385,7 +356,6 @@ def empirical_coverage(
     gamma: float,
     trials: int,
     seed: int = 0,
-    window_scale: float = 1.0,
 ) -> CoverageEstimate:
     """Empirical SINR coverage for one (policy, link, tier) combination.
 
@@ -419,9 +389,9 @@ def empirical_coverage(
             # Active-uplink users interfere from outside the disc of radius x
             # around the receiving BS.
             lam = params.macro.density + params.small.density
-            exponent, sampled = _field_exponent(rng, lam, tx_power, s, x2, window_scale)
+            exponent, sampled = _field_exponent(rng, lam, tx_power, s, x2)
         else:
-            exponent, sampled = _downlink_exponent(rng, params, tier, x2, s, window_scale)
+            exponent, sampled = _downlink_exponent(rng, params, tier, x2, s)
         return np.exp(-(s * params.noise_power + exponent)), sampled
 
     batches = _map_batches(batch, -(-trials // _BATCH))
@@ -431,7 +401,7 @@ def empirical_coverage(
     return CoverageEstimate(float(np.mean(v)), std_error, trials, interferers)
 
 
-def _load_regions(params: ScenarioParams, window_scale: float) -> dict:
+def _load_regions(params: ScenarioParams) -> dict:
     """Geometry for the per-cell load counter.
 
     Cells are counted only for BSs inside a small pick region; users are
@@ -456,10 +426,10 @@ def _load_regions(params: ScenarioParams, window_scale: float) -> dict:
         picks[tier] = 2.0 / math.sqrt(math.pi * lam)
         slope = min(_serving_slope(params, rule, tier) for rule in ("power", "nearest"))
         joint_tails[tier] = math.sqrt(_LOAD_TAIL_LOG / (math.pi * slope))
-    r_user = max(picks[t] + joint_tails[t] for t in picks) * window_scale
-    r_bs = {t: r_user + tails[t] * window_scale for t in tails}
+    r_user = max(picks[t] + joint_tails[t] for t in picks)
+    r_bs = {t: r_user + tails[t] for t in tails}
     return {
-        "picks": {t: picks[t] * window_scale for t in picks},
+        "picks": picks,
         "r_user": r_user,
         "r_bs": r_bs,
         "spacing": 4.0 * max(r_bs.values()),
@@ -544,12 +514,7 @@ class LoadEstimates:
     small_lookups: int
 
 
-def _mean_loads_by_rule(
-    params: ScenarioParams,
-    trials: int,
-    seed: int,
-    window_scale: float = 1.0,
-) -> LoadEstimates:
+def _mean_loads_by_rule(params: ScenarioParams, trials: int, seed: int) -> LoadEstimates:
     """Users per BS under both association rules, both tiers, from one pass.
 
     Trials are laid out side by side on a line with a spacing that keeps
@@ -578,7 +543,7 @@ def _mean_loads_by_rule(
 
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    geo = _load_regions(params, window_scale)
+    geo = _load_regions(params)
     rng = _rng(seed, _TAG_LOAD)
     offsets = np.arange(trials) * geo["spacing"]
 

@@ -102,11 +102,7 @@ def run_validation(params: ScenarioParams, trials: int, seed: int = 0) -> Valida
         "assoc_coupled_macro": report.a_mm_d,
     }
     for name, value in analytic_assoc.items():
-        rows.append(_row(name, value, freq.estimates[name]))
-    if freq.resampled > 0.001 * trials:
-        notes.append(
-            f"warning: {freq.resampled} empty-tier redraws in {trials} trials"
-        )
+        rows.append(_row(name, value, freq[name]))
 
     # Per-cell loads: one realization covers both rules and both tiers; the
     # downlink marginals of the decoupled policy obey the same max-power

@@ -28,11 +28,10 @@ from hetmec.association import (
     marginals,
     tier_params,
 )
+import hetmec.montecarlo as montecarlo
 from hetmec.coverage import psi, thinned_user_density
 from hetmec.montecarlo import (
     _BATCH,
-    _INTERFERER_SPAN,
-    _LOAD_TAIL_LOG,
     _PROBE_SPACING,
     _TAG_COVERAGE,
     _TAG_LOAD,
@@ -93,16 +92,17 @@ def dl_coverage_interference_limited(gamma_dl: float) -> float:
     return 1.0 / (1.0 + psi(gamma_dl))
 
 
-def indexed_field_exponent(rng, density, power, s, exclusion2, window_scale):
+def indexed_field_exponent(rng, density, power, s, exclusion2):
     """`montecarlo._field_exponent` summed through a per-interferer trial index.
 
     The same draws in the same order: Poisson counts, then uniform squared
     radii, then the fades.  Each interferer's trial is looked up by index and
-    its weight added to that trial with bincount.
+    its weight added to that trial with bincount.  The span is read from the
+    library's module at call time, so a test that patches it moves both.
     """
-    spans2 = _INTERFERER_SPAN * _INTERFERER_SPAN / (math.pi * density)
-    outer2 = np.maximum(spans2, 2.25 * exclusion2) * (window_scale * window_scale)
-    outer2 = np.maximum(outer2, exclusion2)
+    span = montecarlo._INTERFERER_SPAN
+    spans2 = span * span / (math.pi * density)
+    outer2 = np.maximum(spans2, 2.25 * exclusion2)
     width = outer2 - exclusion2
     counts = rng.poisson(density * math.pi * width)
     trial_of = np.repeat(np.arange(s.size), counts)
@@ -126,7 +126,6 @@ def serial_coverage(
     gamma: float,
     trials: int,
     seed: int = 0,
-    window_scale: float = 1.0,
 ) -> CoverageEstimate:
     """`montecarlo.empirical_coverage` with its batches run in a plain loop.
 
@@ -147,9 +146,9 @@ def serial_coverage(
         s = gamma * x2 * x2 / tx_power
         if link is Link.UL:
             lam = params.macro.density + params.small.density
-            exponent, sampled = _field_exponent(rng, lam, tx_power, s, x2, window_scale)
+            exponent, sampled = _field_exponent(rng, lam, tx_power, s, x2)
         else:
-            exponent, sampled = _downlink_exponent(rng, params, tier, x2, s, window_scale)
+            exponent, sampled = _downlink_exponent(rng, params, tier, x2, s)
         values.append(np.exp(-(s * params.noise_power + exponent)))
         done += n
         interferers += sampled
@@ -180,8 +179,8 @@ def rejection_coverage(
             raise RuntimeError(f"association almost never lands on tier {tier.value}")
         rng = _rng(seed, _TAG_COVERAGE, batch_index)
         batch_index += 1
-        d_m, _ = _nearest_distances(rng, params.macro.density, _BATCH, 1.0)
-        d_s, _ = _nearest_distances(rng, params.small.density, _BATCH, 1.0)
+        d_m = _nearest_distances(rng, params.macro.density, _BATCH)
+        d_s = _nearest_distances(rng, params.small.density, _BATCH)
         if rule == "power":
             small_wins = _power_rule_small_wins(params, d_m, d_s)
         else:
@@ -196,9 +195,9 @@ def rejection_coverage(
         s = gamma * x2 * x2 / tx_power
         if link is Link.UL:
             lam = params.macro.density + params.small.density
-            exponent, _ = _field_exponent(rng, lam, tx_power, s, x2, 1.0)
+            exponent, _ = _field_exponent(rng, lam, tx_power, s, x2)
         else:
-            exponent, _ = _downlink_exponent(rng, params, tier, x2, s, 1.0)
+            exponent, _ = _downlink_exponent(rng, params, tier, x2, s)
         values.append(np.exp(-(s * params.noise_power + exponent)))
         distances.append(x)
         accepted += x.size
@@ -220,7 +219,7 @@ def own_tier_load_regions(params) -> dict:
         lam = tier_params(params, tier).density
         if lam == 0.0:
             continue
-        tails[tier] = math.sqrt(_LOAD_TAIL_LOG / (math.pi * lam))
+        tails[tier] = math.sqrt(montecarlo._LOAD_TAIL_LOG / (math.pi * lam))
         picks[tier] = 2.0 / math.sqrt(math.pi * lam)
     r_user = max(picks[t] + tails[t] for t in picks)
     r_bs = {t: r_user + tails[t] for t in tails}
@@ -362,7 +361,7 @@ def _ratio_estimates(bs, index, small_wins_by_rule, trials: int, users_per_point
     return out
 
 
-def unpruned_mean_loads(params, trials: int, seed: int, window_scale: float = 1.0):
+def unpruned_mean_loads(params, trials: int, seed: int):
     """Users per BS under both rules, querying both KD-trees for every probe.
 
     Draws the same realization as `montecarlo._mean_loads_by_rule` (same
@@ -370,7 +369,7 @@ def unpruned_mean_loads(params, trials: int, seed: int, window_scale: float = 1.
     and returns {rule: {tier: estimate}} with the number of probes; the
     library's sampler must reproduce both bit for bit.
     """
-    geo = _load_regions(params, window_scale)
+    geo = _load_regions(params)
     rng = _rng(seed, _TAG_LOAD)
     offsets = np.arange(trials) * geo["spacing"]
     bs = _bs_tiers(params, trials, rng, geo, offsets)
@@ -382,7 +381,7 @@ def unpruned_mean_loads(params, trials: int, seed: int, window_scale: float = 1.
     return estimates, probes.shape[0]
 
 
-def user_process_mean_loads(params, trials: int, seed: int, window_scale: float = 1.0):
+def user_process_mean_loads(params, trials: int, seed: int):
     """Users per BS under both rules from Poisson users instead of probes.
 
     The load sampler as it was before the probe lattice: the same BS
@@ -390,6 +389,6 @@ def user_process_mean_loads(params, trials: int, seed: int, window_scale: float 
     looked up in both trees and counted once.  Returns {rule: {tier:
     estimate}}, the statistical reference of the lattice's estimates.
     """
-    geo = _load_regions(params, window_scale)
+    geo = _load_regions(params)
     bs, _, index, small_wins_by_rule = _user_realization(params, trials, seed, geo)
     return _ratio_estimates(bs, index, small_wins_by_rule, trials, 1.0)

@@ -14,9 +14,9 @@ from hetmec.association import (
     tier_params,
 )
 from hetmec.config import params_from_raw
+import hetmec.coverage
 from hetmec.coverage import (
     DlCoverageForm,
-    _ul_coverage_with_density,
     dl_coverage,
     psi,
     thinned_user_density,
@@ -194,12 +194,14 @@ def test_closed_form_matches_quadrature_oracle(raw, form, policy, tier):
     assert math.isclose(got, want, rel_tol=1e-9), (got, want)
 
 
-def test_ul_coverage_monotone_in_interferer_density():
+def test_ul_coverage_monotone_in_interferer_density(monkeypatch):
+    # The interfering-user density is varied on its own, leaving the BS
+    # densities that shape the serving-distance PDF as they are.
     gamma = 0.1
-    values = [
-        _ul_coverage_with_density(DEFAULTS, Policy.DECOUPLED, Tier.SMALL, gamma, lam)
-        for lam in np.linspace(0.0, 5e-5, 8)
-    ]
+    values = []
+    for lam in np.linspace(0.0, 5e-5, 8):
+        monkeypatch.setattr(hetmec.coverage, "thinned_user_density", lambda params: lam)
+        values.append(ul_coverage(DEFAULTS, Policy.DECOUPLED, Tier.SMALL, gamma))
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 

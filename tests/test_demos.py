@@ -1,10 +1,15 @@
-"""The demos that only print run to completion against the current API."""
+"""The demos that only print run to completion against the current API, and
+the committed validation table is what its demo writes today."""
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from hetmec import default_params
+from hetmec.validate import run_validation, validation_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -23,3 +28,23 @@ def test_demo_exits_zero(demo):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_committed_validation_csv_matches_a_fresh_run():
+    # demos/04's run: default parameters, 50k trials, seed 8.  Every line
+    # must match byte for byte except the numpy version and the numbers of
+    # the table rows, which may differ by SIMD rounding across CPUs.
+    params = default_params()
+    got = validation_csv(run_validation(params, 50_000, seed=8), params).splitlines()
+    want = (ROOT / "demos" / "output" / "validation.csv").read_text(encoding="utf-8").splitlines()
+    assert len(got) == len(want)
+    header = want.index("quantity,analytic,empirical,std_error,z_score")
+    for index, (got_line, want_line) in enumerate(zip(got, want)):
+        if index <= header:
+            if not want_line.startswith("# numpy = "):
+                assert got_line == want_line
+            continue
+        got_row, want_row = got_line.split(","), want_line.split(",")
+        assert got_row[0] == want_row[0]
+        for got_value, want_value in zip(got_row[1:], want_row[1:], strict=True):
+            assert math.isclose(float(got_value), float(want_value), rel_tol=1e-12), want_line

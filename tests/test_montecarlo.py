@@ -25,7 +25,6 @@ from hetmec.montecarlo import (
     _BATCH,
     _INTERFERER_SPAN,
     _LOOKUP_MARGIN,
-    _VOID_LOG,
     _far_field_exponent,
     _field_exponent,
     _load_regions,
@@ -54,52 +53,29 @@ DEFAULTS = params_from_raw({})
 
 
 def test_zero_density_process_is_empty():
-    # No point of an empty process is nearest: every distance is infinite and
-    # no draw needs resampling.
-    distances, resampled = _nearest_distances(_rng(0, 42), 0.0, 1000, 1.0)
+    # No point of an empty process is nearest: every distance is infinite.
+    distances = _nearest_distances(_rng(0, 42), 0.0, 1000)
     assert distances.shape == (1000,)
     assert np.all(np.isinf(distances))
-    assert resampled == 0
 
 
 @pytest.mark.parametrize("tier", list(Tier))
-@pytest.mark.parametrize("window_scale", [1.0, 2.0])
-def test_nearest_distances_follow_void_probability(tier, window_scale):
+def test_nearest_distances_follow_void_probability(tier):
     # P(d > r) = exp(-lambda pi r^2) for the nearest point of a PPP.
     density = (DEFAULTS.macro if tier is Tier.MACRO else DEFAULTS.small).density
     n = 100_000
-    distances, resampled = _nearest_distances(_rng(31, 1), density, n, window_scale)
-    assert resampled == 0
+    distances = _nearest_distances(_rng(31, 1), density, n)
     ks = stats.kstest(distances, lambda r: -np.expm1(-density * math.pi * r * r))
     assert ks.statistic < 1.95 / math.sqrt(n)  # KS critical value at 0.1%
 
 
-def test_nearest_distances_redraw_empty_discs():
-    # A disc this small is empty in ~93% of draws: every empty draw is redrawn
-    # and counted, and the result is the nearest-point law given a nonempty disc.
-    density = DEFAULTS.small.density
-    window_scale = 0.05
-    radius = math.sqrt(_VOID_LOG / (math.pi * density)) * window_scale
-    n = 2_000
-    distances, resampled = _nearest_distances(_rng(32, 1), density, n, window_scale)
-    assert np.all(distances <= radius)
-    p_empty = math.exp(-density * math.pi * radius * radius)
-    expected = n * p_empty / (1.0 - p_empty)
-    sd = math.sqrt(n * p_empty) / (1.0 - p_empty)
-    assert abs(resampled - expected) < 5.0 * sd
-    norm = -math.expm1(-density * math.pi * radius * radius)
-    ks = stats.kstest(distances, lambda r: -np.expm1(-density * math.pi * r * r) / norm)
-    assert ks.statistic < 1.95 / math.sqrt(n)
-
-
 def test_nearest_distances_draw_one_uniform_per_trial():
-    # No Poisson count is drawn: with no empty disc the generator advances by
-    # exactly one uniform per trial, and d^2 = -log(U) / (pi lambda).
+    # No Poisson count is drawn: the generator advances by exactly one
+    # uniform per trial, and d^2 = -log(U) / (pi lambda).
     density = DEFAULTS.small.density
     n = 5_000
     rng = _rng(33, 1)
-    distances, resampled = _nearest_distances(rng, density, n, 1.0)
-    assert resampled == 0
+    distances = _nearest_distances(rng, density, n)
     reference = _rng(33, 1)
     u = reference.random(n)
     assert rng.bit_generator.state == reference.bit_generator.state
@@ -119,22 +95,21 @@ def test_empirical_association_matches_closed_forms():
         "assoc_coupled_macro": a_mm_d,
     }
     for name, target in targets.items():
-        est = freq.estimates[name]
+        est = freq[name]
         assert abs(est.mean - target) < 4.0 * est.std_error, name
-    assert freq.resampled < 0.001 * trials
 
 
 def test_macro_ul_small_dl_outcome_impossible():
     freq = empirical_association(DEFAULTS, 30_000, seed=3)
-    assert freq.estimates["assoc_dec_macro_small"].mean == 0.0
+    assert freq["assoc_dec_macro_small"].mean == 0.0
 
 
 def test_equal_power_makes_rules_coincide():
     p = params_from_raw({"p_m_dbm": 30.0, "p_s_dbm": 30.0})
     freq = empirical_association(p, 20_000, seed=4)
-    assert freq.estimates["assoc_dec_small_macro"].mean == 0.0
-    assert freq.estimates["assoc_dec_small_small"].mean == pytest.approx(
-        freq.estimates["assoc_coupled_small"].mean, abs=1e-15
+    assert freq["assoc_dec_small_macro"].mean == 0.0
+    assert freq["assoc_dec_small_small"].mean == pytest.approx(
+        freq["assoc_coupled_small"].mean, abs=1e-15
     )
 
 
@@ -142,6 +117,21 @@ def test_empirical_association_bit_reproducible():
     a = empirical_association(DEFAULTS, 10_000, seed=11)
     b = empirical_association(DEFAULTS, 10_000, seed=11)
     assert a == b
+
+
+@pytest.mark.parametrize("trials", [1, _BATCH, 3 * _BATCH + 17])
+def test_threaded_association_matches_serial_batches(trials, monkeypatch):
+    # One CPU runs the batches in a plain loop; 64 ask for more threads than
+    # there are batches.  The four decoupled outcomes partition the trials.
+    monkeypatch.setattr(hetmec.montecarlo, "_cpu_count", lambda: 1)
+    expected = empirical_association(DEFAULTS, trials, seed=73)
+    monkeypatch.setattr(hetmec.montecarlo, "_cpu_count", lambda: 64)
+    got = empirical_association(DEFAULTS, trials, seed=73)
+    assert got == expected
+    assert all(est.trials == trials for est in got.values())
+    decoupled = [est for name, est in got.items() if name.startswith("assoc_dec_")]
+    assert len(decoupled) == 4
+    assert sum(round(est.mean * trials) for est in decoupled) == trials
 
 
 def test_empirical_coverage_tends_to_one_at_tiny_threshold():
@@ -266,9 +256,9 @@ def test_serving_distances_match_rejection_sampler(config, policy, tier, monkeyp
     field_exponent = hetmec.montecarlo._field_exponent
     exclusions = []
 
-    def spy(rng, density, power, s, exclusion2, window_scale):
+    def spy(rng, density, power, s, exclusion2):
         exclusions.append(exclusion2.copy())
-        return field_exponent(rng, density, power, s, exclusion2, window_scale)
+        return field_exponent(rng, density, power, s, exclusion2)
 
     monkeypatch.setattr(hetmec.montecarlo, "_field_exponent", spy)
     est = empirical_coverage(params, policy, Link.UL, tier, gamma, n, seed=51)
@@ -317,72 +307,67 @@ def _field_inputs(params, field, n, seed):
     return density, power, s, exclusion2
 
 
-@pytest.mark.parametrize("window_scale", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("span", [2.5, 5.0, 10.0])
 @pytest.mark.parametrize("field", list(FIELDS))
 @pytest.mark.parametrize("config", list(SERVING_LAW_CONFIGS))
-def test_segment_sums_match_indexed_field_exponent(config, field, window_scale):
+def test_segment_sums_match_indexed_field_exponent(config, field, span, monkeypatch):
     # Summing each trial's contiguous segment of interferers moves only the
     # rounding of the sums: the draws, hence the counts and the generator
     # state after the call, are those of the per-interferer trial index.
+    # Both read the patched span.
+    monkeypatch.setattr(hetmec.montecarlo, "_INTERFERER_SPAN", span)
     params = params_from_raw(SERVING_LAW_CONFIGS[config])
     density, power, s, exclusion2 = _field_inputs(params, field, _BATCH, seed=61)
     rng, reference = _rng(61, 1), _rng(61, 1)
-    got, sampled = _field_exponent(rng, density, power, s, exclusion2, window_scale)
-    expected, expected_sampled = indexed_field_exponent(
-        reference, density, power, s, exclusion2, window_scale
-    )
+    got, sampled = _field_exponent(rng, density, power, s, exclusion2)
+    expected, expected_sampled = indexed_field_exponent(reference, density, power, s, exclusion2)
     assert sampled == expected_sampled > 0
     assert rng.bit_generator.state == reference.bit_generator.state
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
-def test_trials_without_interferers_keep_the_far_field_exactly():
-    # At window_scale 0.5 a trial whose exclusion2 exceeds spans2 / 4 has its
-    # outer radius clamped to the exclusion radius, so it draws no interferer
-    # and its exponent is the far field beyond its exclusion radius alone.
-    # Such trials lie first, last and scattered among trials that draw.
+def test_trials_without_interferers_keep_the_far_field_exactly(monkeypatch):
+    # With a span of half a typical spacing and exclusion radii inside 2/3
+    # of it, every outer radius is the span and a trial draws no interferer
+    # with probability about 0.8; its exponent is then the far field beyond
+    # the span alone.  Such trials lie first, last and scattered among
+    # trials that draw.
     density = DEFAULTS.macro.density + DEFAULTS.small.density
     power = DEFAULTS.user_tx_power
-    spans2 = _INTERFERER_SPAN * _INTERFERER_SPAN / (math.pi * density)
     n = 2_000
-    exclusion2 = spans2 * _rng(62, 0).uniform(0.0, 0.5, n)
-    exclusion2[[0, -1]] = 0.4 * spans2
-    s = 1e-3 * exclusion2 * exclusion2 / power
-    empty = exclusion2 > 0.25 * spans2
-    assert 0 < np.count_nonzero(empty) < n
+
+    def inputs(span):
+        monkeypatch.setattr(hetmec.montecarlo, "_INTERFERER_SPAN", span)
+        spans2 = span * span / (math.pi * density)
+        exclusion2 = spans2 * _rng(62, 0).uniform(0.0, 0.4, n)
+        s = 1e-3 * exclusion2 * exclusion2 / power
+        return s, exclusion2, np.maximum(spans2, 2.25 * exclusion2)
+
+    s, exclusion2, outer2 = inputs(0.5)
+    # The counts are the first draw of the generator.
+    empty = _rng(62, 1).poisson(density * math.pi * (outer2 - exclusion2)) == 0
+    assert empty[0] and empty[-1] and 0 < np.count_nonzero(empty) < n
     rng, reference = _rng(62, 1), _rng(62, 1)
-    got, sampled = _field_exponent(rng, density, power, s, exclusion2, 0.5)
-    expected, expected_sampled = indexed_field_exponent(
-        reference, density, power, s, exclusion2, 0.5
-    )
+    got, sampled = _field_exponent(rng, density, power, s, exclusion2)
+    expected, expected_sampled = indexed_field_exponent(reference, density, power, s, exclusion2)
     assert sampled == expected_sampled > 0
-    far = _far_field_exponent(density, power, s, exclusion2)
+    far = _far_field_exponent(density, power, s, outer2)
     assert np.array_equal(got[empty], far[empty])
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
-    # A batch in which no trial draws an interferer.
-    got, sampled = _field_exponent(_rng(62, 2), density, power, s[empty], exclusion2[empty], 0.5)
+    # A batch in which no trial draws an interferer: at a span of 1e-3
+    # spacings each trial expects at most 1e-6 of them.
+    s, exclusion2, outer2 = inputs(1e-3)
+    got, sampled = _field_exponent(_rng(62, 2), density, power, s, exclusion2)
     assert sampled == 0
-    assert np.array_equal(got, _far_field_exponent(density, power, s[empty], exclusion2[empty]))
+    assert np.array_equal(got, _far_field_exponent(density, power, s, outer2))
 
 
-def test_window_doubling_changes_estimate_within_noise():
-    kwargs = dict(gamma=0.1, trials=20_000)
-    a = empirical_coverage(
-        DEFAULTS, Policy.DECOUPLED, Link.UL, Tier.SMALL, seed=10, window_scale=1.0, **kwargs
-    )
-    b = empirical_coverage(
-        DEFAULTS, Policy.DECOUPLED, Link.UL, Tier.SMALL, seed=10, window_scale=2.0, **kwargs
-    )
+def test_window_doubling_changes_estimate_within_noise(monkeypatch):
+    args = (DEFAULTS, Policy.DECOUPLED, Link.UL, Tier.SMALL, 0.1, 20_000)
+    a = empirical_coverage(*args, seed=10)
+    monkeypatch.setattr(hetmec.montecarlo, "_INTERFERER_SPAN", 2.0 * _INTERFERER_SPAN)
+    b = empirical_coverage(*args, seed=10)
     assert abs(a.mean - b.mean) < 2.0 * math.hypot(a.std_error, b.std_error)
-
-
-def test_narrow_window_keeps_outer_radius_beyond_exclusion():
-    # Below window_scale 2/3 the scaled outer radius would fall inside the
-    # exclusion radius and the interferer count would get a negative mean.
-    est = empirical_coverage(
-        DEFAULTS, Policy.COUPLED, Link.UL, Tier.MACRO, 0.1, 200, seed=1, window_scale=0.5
-    )
-    assert 0.0 <= est.mean <= 1.0
 
 
 # The UL field and both DL tiers' fields; trials in one batch, exactly one
@@ -416,10 +401,10 @@ def test_failing_batch_reraises_and_pool_recovers(cpus, monkeypatch):
     args = (DEFAULTS, Policy.DECOUPLED, Link.UL, Tier.SMALL, gamma, trials)
     field_exponent = hetmec.montecarlo._field_exponent
 
-    def failing(rng, density, power, s, exclusion2, window_scale):
+    def failing(rng, density, power, s, exclusion2):
         if s.size == 17:
             raise RuntimeError("batch 3")
-        return field_exponent(rng, density, power, s, exclusion2, window_scale)
+        return field_exponent(rng, density, power, s, exclusion2)
 
     monkeypatch.setattr(hetmec.montecarlo, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(hetmec.montecarlo, "_field_exponent", failing)
@@ -560,7 +545,7 @@ def test_empirical_load_probe_conservation(monkeypatch):
     loads = _mean_loads_by_rule(DEFAULTS, trials=trials, seed=23)
     (macro_bs, probes, d_m, i_m), (small_bs, asked_probes, d_s_asked, i_s_asked) = trees
     assert probes.shape[0] == loads.probes
-    spacing = _load_regions(DEFAULTS, 1.0)["spacing"]
+    spacing = _load_regions(DEFAULTS)["spacing"]
 
     def trial(points):
         return np.rint(points[:, 0] / spacing).astype(np.int64)
@@ -599,26 +584,30 @@ def test_zero_density_tier_load_is_zero():
     assert est.mean == 0.0 and est.std_error == 0.0
 
 
+# Scenario and the load windows' nearest-BS tail log (None: the sampler's own).
 LOAD_CONFIGS = {
-    "reference": ({}, 1.0),
-    "equal_powers": ({"p_m_dbm": 30.0, "p_s_dbm": 30.0}, 1.0),
-    "dense_small": ({"lambda_s_per_km2": 50.0, "lambda_u_per_km2": 60.0}, 1.0),
-    "wide_window": ({}, 2.0),
-    "no_small": ({"lambda_s_per_km2": 0.0}, 1.0),
+    "reference": ({}, None),
+    "equal_powers": ({"p_m_dbm": 30.0, "p_s_dbm": 30.0}, None),
+    "dense_small": ({"lambda_s_per_km2": 50.0, "lambda_u_per_km2": 60.0}, None),
+    # Tails of 1e-18: every window wider than the sampler's 1e-9 gives.
+    "wide_window": ({}, math.log(1e18)),
+    "no_small": ({"lambda_s_per_km2": 0.0}, None),
 }
 
 
 @pytest.mark.parametrize("seed", [41, 42])
 @pytest.mark.parametrize("config", list(LOAD_CONFIGS))
-def test_pruned_load_lookups_match_unpruned_sampler(config, seed):
+def test_pruned_load_lookups_match_unpruned_sampler(config, seed, monkeypatch):
     # Skipping the small-cell lookup where it cannot change an in-region cell
     # must leave every estimate, mean and standard error, bit for bit as it is
     # when every probe is looked up in both trees; and the lattice must
     # hold the probes of one built trial by trial from a wider square.
-    raw, window_scale = LOAD_CONFIGS[config]
+    raw, tail_log = LOAD_CONFIGS[config]
+    if tail_log is not None:
+        monkeypatch.setattr(hetmec.montecarlo, "_LOAD_TAIL_LOG", tail_log)
     params = params_from_raw(raw)
-    loads = _mean_loads_by_rule(params, trials=30, seed=seed, window_scale=window_scale)
-    expected, probes = unpruned_mean_loads(params, trials=30, seed=seed, window_scale=window_scale)
+    loads = _mean_loads_by_rule(params, trials=30, seed=seed)
+    expected, probes = unpruned_mean_loads(params, trials=30, seed=seed)
     assert loads.probes == probes
     for rule, by_tier in expected.items():
         for tier, estimate in by_tier.items():
@@ -636,7 +625,7 @@ def test_load_sampler_looks_up_few_small_cells():
     # the width of the probe disc.
     trials = 60
     loads = _mean_loads_by_rule(DEFAULTS, trials=trials, seed=43)
-    pick_macro = _load_regions(DEFAULTS, 1.0)["picks"][Tier.MACRO]
+    pick_macro = _load_regions(DEFAULTS)["picks"][Tier.MACRO]
     in_region_probes = math.pi * pick_macro**2 / loads.spacing**2 * trials
     assert loads.probes > 0
     assert in_region_probes <= loads.small_lookups <= 1.5 * in_region_probes
@@ -682,7 +671,7 @@ def test_joint_void_window_misses_no_counted_user(config):
     # joint-void radius and the own-tier radius is served by an in-region BS
     # under either rule: the narrower user disc loses no counted user.
     params = params_from_raw(WINDOW_CONFIGS[config])
-    r_user = _load_regions(params, 1.0)["r_user"]
+    r_user = _load_regions(params)["r_user"]
     wide = own_tier_load_regions(params)
     radial, counted = served_by_counted_bs(params, trials=100, seed=44, geo=wide)
     band = radial > r_user
