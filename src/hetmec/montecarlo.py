@@ -44,10 +44,14 @@ Two modeling conventions are intentionally mirrored from the analytic side
 
 Randomness is keyed: every operation derives its generators from
 (seed, operation tag, batch index) via numpy's SeedSequence, so results are
-bit-reproducible for a given (params, seed, trials).  The association and
-coverage batches run in parallel on the process's CPUs (_map_batches), as
-do the load sampler's KD-tree queries, and are reduced in batch order, so
-no estimate depends on the number of threads.
+bit-reproducible for a given (params, seed, trials).  Each estimator is a
+job: independent batches and their reduction (_Job).  The batches of any
+list of jobs run in parallel on the process's CPUs as one dispatch
+(_run_jobs over _map_batches), so a validation run keeps every CPU busy
+with the load sampler's single task running beside the association and
+coverage batches; the load sampler's KD-tree queries are split over the
+CPUs as well.  Each job is reduced from its own batches in batch order, so
+no estimate depends on the number of threads or on the jobs beside it.
 """
 from __future__ import annotations
 
@@ -105,6 +109,8 @@ def _cpu_count() -> int:
 # inherits the executor but not its threads, so it makes its own.
 _pool_lock = threading.Lock()
 _pool: tuple[int, ThreadPoolExecutor] | None = None
+# Marks a thread while it runs batches of _map_batches.
+_in_batches = threading.local()
 
 
 def _helper_pool() -> ThreadPoolExecutor:
@@ -121,36 +127,42 @@ def _map_batches(batch: Callable[[int], object], count: int) -> list:
     """[batch(i) for i in range(count)], on up to one thread per CPU.
 
     The calling thread and min(count, CPUs) - 1 helper threads claim the
-    indices one at a time, so one CPU runs the plain loop and starts no
-    thread.  Each result lands at its index, so the list is the same for
-    any thread count when batch(i) depends on i alone.  Once a batch raises
-    no further index is claimed, and when every thread has stopped the
-    exception is re-raised as it was.
+    indices one at a time in order, so one CPU starts no thread.  Each
+    result lands at its index, so the list is the same for any thread count
+    when batch(i) depends on i alone.  Once a batch raises no further index
+    is claimed, and when every thread has stopped the exception is re-raised
+    as it was.  A batch may not call _map_batches: on a helper thread that
+    call would wait on helpers queued behind the helper itself.  So it
+    raises RuntimeError, on whichever thread runs the batch.
     """
+    if getattr(_in_batches, "active", False):
+        raise RuntimeError("_map_batches called from one of its own batches")
     threads = min(count, _cpu_count())
-    if threads <= 1:
-        return [batch(i) for i in range(count)]
     results = [None] * count
     lock = threading.Lock()
     next_index = 0
 
     def drain() -> None:
         nonlocal next_index
-        while True:
-            with lock:
-                index = next_index
-                next_index += 1
-            if index >= count:
-                return
-            try:
-                results[index] = batch(index)
-            except BaseException:
+        _in_batches.active = True
+        try:
+            while True:
                 with lock:
-                    next_index = count
-                raise
+                    index = next_index
+                    next_index += 1
+                if index >= count:
+                    return
+                try:
+                    results[index] = batch(index)
+                except BaseException:
+                    with lock:
+                        next_index = count
+                    raise
+        finally:
+            _in_batches.active = False
 
-    pool = _helper_pool()
-    helpers = [pool.submit(drain) for _ in range(threads - 1)]
+    # With one thread the pool is not even looked up.
+    helpers = [_helper_pool().submit(drain) for _ in range(threads - 1)]
     try:
         drain()
     finally:
@@ -158,6 +170,34 @@ def _map_batches(batch: Callable[[int], object], count: int) -> list:
     for helper in helpers:
         helper.result()
     return results
+
+
+@dataclass(frozen=True)
+class _Job:
+    """An estimate as `count` batches, batch(i) depending on i alone, and
+    the reduction of their results, given in batch order, to the estimate."""
+
+    batch: Callable[[int], object]
+    count: int
+    reduce: Callable[[list], object]
+
+
+def _run_jobs(jobs: list[_Job]) -> list:
+    """Each job's estimate, the batches of all jobs run by one _map_batches.
+
+    Batches are claimed in job order, so a long job of one batch given first
+    starts at once and the other threads fill in around it.  Each job is
+    reduced from its own batches in batch order, so its estimate is the one
+    it gives run alone, for any thread count.
+    """
+    owners = [(job, index) for job in jobs for index in range(job.count)]
+    results = _map_batches(lambda k: owners[k][0].batch(owners[k][1]), len(owners))
+    estimates = []
+    start = 0
+    for job in jobs:
+        estimates.append(job.reduce(results[start:start + job.count]))
+        start += job.count
+    return estimates
 
 
 @dataclass(frozen=True)
@@ -198,6 +238,11 @@ def empirical_association(
     for the downlink (the coupled outcome is the downlink winner).  Returns
     an estimate per outcome, keyed by its validation row name.
     """
+    return _run_jobs([_association_job(params, trials, seed)])[0]
+
+
+def _association_job(params: ScenarioParams, trials: int, seed: int) -> _Job:
+    """empirical_association as a job."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
@@ -216,21 +261,23 @@ def empirical_association(
             int(np.sum(dl_small)),
         )
 
-    # Integer counts: their sums are exact whatever the batches' threads.
-    ss, mm, sm, ms, coupled_s = map(sum, zip(*_map_batches(batch, -(-trials // _BATCH))))
-
     def estimate(k: int) -> McEstimate:
         p = k / trials
         return McEstimate(p, math.sqrt(p * (1.0 - p) / trials), trials)
 
-    return {
-        "assoc_dec_small_small": estimate(ss),
-        "assoc_dec_macro_macro": estimate(mm),
-        "assoc_dec_small_macro": estimate(sm),
-        "assoc_dec_macro_small": estimate(ms),
-        "assoc_coupled_small": estimate(coupled_s),
-        "assoc_coupled_macro": estimate(trials - coupled_s),
-    }
+    def reduce(batches: list) -> dict[str, McEstimate]:
+        # Integer counts: their sums are exact whatever the batches' threads.
+        ss, mm, sm, ms, coupled_s = map(sum, zip(*batches))
+        return {
+            "assoc_dec_small_small": estimate(ss),
+            "assoc_dec_macro_macro": estimate(mm),
+            "assoc_dec_small_macro": estimate(sm),
+            "assoc_dec_macro_small": estimate(ms),
+            "assoc_coupled_small": estimate(coupled_s),
+            "assoc_coupled_macro": estimate(trials - coupled_s),
+        }
+
+    return _Job(batch, -(-trials // _BATCH), reduce)
 
 
 def _serving_rule(policy: Policy, link: Link) -> str:
@@ -348,6 +395,19 @@ def _serving_slope(params: ScenarioParams, rule: str, tier: Tier) -> float:
     return own.density + other.density * beta2
 
 
+def _coverage_law(policy: Policy, link: Link, tier: Tier) -> tuple[str, Link, Tier | None]:
+    """What the coverage batches of (policy, link, tier) depend on, besides
+    the scenario, gamma, trials and seed: the serving rule, the link, and the
+    serving tier unless the rule is the nearest one.  Under it (the
+    decoupled uplink) neither the serving-distance law
+    x^2 ~ Exp(pi (lambda_m + lambda_s)), nor the interferer field of density
+    lambda_m + lambda_s outside the serving disc, nor the user's power names
+    a tier, so both tiers draw equal batches from one seed.
+    """
+    rule = _serving_rule(policy, link)
+    return rule, link, None if rule == "nearest" else tier
+
+
 def empirical_coverage(
     params: ScenarioParams,
     policy: Policy,
@@ -368,6 +428,19 @@ def empirical_coverage(
     s = gamma x^4 / P_tx, so the serving fade is averaged out exactly, and
     the standard error is the sample standard deviation over sqrt(trials).
     """
+    return _run_jobs([_coverage_job(params, policy, link, tier, gamma, trials, seed)])[0]
+
+
+def _coverage_job(
+    params: ScenarioParams,
+    policy: Policy,
+    link: Link,
+    tier: Tier,
+    gamma: float,
+    trials: int,
+    seed: int,
+) -> _Job:
+    """empirical_coverage as a job."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if gamma <= 0.0:
@@ -394,11 +467,13 @@ def empirical_coverage(
             exponent, sampled = _downlink_exponent(rng, params, tier, x2, s)
         return np.exp(-(s * params.noise_power + exponent)), sampled
 
-    batches = _map_batches(batch, -(-trials // _BATCH))
-    v = np.concatenate([values for values, _ in batches])
-    interferers = sum(sampled for _, sampled in batches)
-    std_error = float(np.std(v, ddof=1)) / math.sqrt(trials) if trials > 1 else math.inf
-    return CoverageEstimate(float(np.mean(v)), std_error, trials, interferers)
+    def reduce(batches: list) -> CoverageEstimate:
+        v = np.concatenate([values for values, _ in batches])
+        interferers = sum(sampled for _, sampled in batches)
+        std_error = float(np.std(v, ddof=1)) / math.sqrt(trials) if trials > 1 else math.inf
+        return CoverageEstimate(float(np.mean(v)), std_error, trials, interferers)
+
+    return _Job(batch, -(-trials // _BATCH), reduce)
 
 
 def _load_regions(params: ScenarioParams) -> dict:
@@ -515,6 +590,16 @@ class LoadEstimates:
 
 
 def _mean_loads_by_rule(params: ScenarioParams, trials: int, seed: int) -> LoadEstimates:
+    """Users per BS under both association rules, both tiers (_load_estimates)."""
+    return _load_estimates(params, trials, seed)
+
+
+def _load_job(params: ScenarioParams, trials: int, seed: int) -> _Job:
+    """_mean_loads_by_rule as a job of one batch."""
+    return _Job(lambda _: _load_estimates(params, trials, seed), 1, lambda batches: batches[0])
+
+
+def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstimates:
     """Users per BS under both association rules, both tiers, from one pass.
 
     Trials are laid out side by side on a line with a spacing that keeps
@@ -530,8 +615,9 @@ def _mean_loads_by_rule(params: ScenarioParams, trials: int, seed: int) -> LoadE
     the nearest macro BS is in-region, or no nearer than
     rho - pick_small - margin, rho being the probe's distance to its trial
     centre).  Any other probe is served out of region under both rules, so
-    its small-cell distance is left at inf and the estimates are those of
-    looking up every probe, bit for bit.
+    it is booked to its nearest macro BS and the estimates are those of
+    looking up every probe, bit for bit; the rules compare the distances of
+    the looked-up probes alone.
 
     Raises RuntimeError, naming the process or the probe lattice, when a
     Poisson mean is not finite or one process or the lattice would hold
@@ -610,29 +696,31 @@ def _mean_loads_by_rule(params: ScenarioParams, trials: int, seed: int) -> LoadE
             )
         )
     asked_probes = probes[asked]
-    # Free the probe coordinates before the full-size small-cell arrays and
-    # the per-rule temporaries: they would set the sampler's peak memory.
+    # Free the probe coordinates before the per-rule temporaries: they would
+    # set the sampler's peak memory.
     del probes, probe_radial
-    d_s = np.full(n_probes, np.inf)
-    i_s = np.zeros(n_probes, dtype=np.int64)
+    # A probe not asked about is served out of region whichever tier wins,
+    # so it is booked to its macro BS under both rules.
+    d_s, i_s = np.zeros(0), np.zeros(0, dtype=np.int64)
     if asked.size:
-        d_s[asked], i_s[asked] = bs[Tier.SMALL]["tree"].query(asked_probes, k=1, workers=workers)
-    index = {Tier.MACRO: i_m, Tier.SMALL: i_s}
-
+        d_s, i_s = bs[Tier.SMALL]["tree"].query(asked_probes, k=1, workers=workers)
+    d_m_asked = d_m[asked]
     small_wins_by_rule = {
-        "power": _power_rule_small_wins(params, d_m, d_s),
-        "nearest": d_s < d_m,
+        "power": _power_rule_small_wins(params, d_m_asked, d_s),
+        "nearest": d_s < d_m_asked,
     }
     users_per_probe = params.user_density * spacing * spacing
     out = {}
     for rule, small_wins in small_wins_by_rule.items():
+        macro_wins = np.ones(n_probes, dtype=bool)
+        macro_wins[asked[small_wins]] = False
+        served = {Tier.MACRO: i_m[macro_wins], Tier.SMALL: i_s[small_wins]}
         out[rule] = {}
         for tier, info in bs.items():
             if info is None:
                 out[rule][tier] = McEstimate(0.0, 0.0, trials)
                 continue
-            served_here = small_wins if tier is Tier.SMALL else ~small_wins
-            per_bs = np.bincount(index[tier][served_here], minlength=info["n"])
+            per_bs = np.bincount(served[tier], minlength=info["n"])
             interior = info["interior"]
             totals = np.bincount(
                 info["trial_of"][interior], weights=per_bs[interior], minlength=trials

@@ -81,18 +81,65 @@ def run_validation(params: ScenarioParams, trials: int, seed: int = 0) -> Valida
     """Run every analytic-vs-empirical comparison and collect the rows.
 
     `trials` drives the association tallies and each coverage estimate; the
-    per-cell loads take max(160, trials // 400) realizations, which keeps the
-    full run to about 0.5 s at trials = 1e5 on a 2-vCPU host (the loads
-    about 0.12 s of it).
+    per-cell loads take max(160, trials // 400) realizations.  All of the
+    sampler's work is one montecarlo._run_jobs call: the load stage first,
+    as its one task is the longest, then the association and coverage
+    batches around it, which keeps the full run to about 0.4 s at
+    trials = 1e5 on a 2-vCPU host.  Every estimate is the one its own
+    empirical_* or _mean_loads_by_rule call gives at the same seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rows: list[ValidationRow] = []
     notes: list[str] = []
     has_small = params.small.density > 0.0
-
     report = assoc_mod.association_report(params)
-    freq = mc_mod.empirical_association(params, trials, seed=seed)
+
+    # The sampler sees a coverage combination only through its law
+    # (montecarlo._coverage_law): the downlink follows the max-power rule
+    # under both policies, and the nearest-rule uplink law names no tier.
+    # So one estimate serves every row of one law, as one load realization
+    # serves both rules below.
+    coverage_rows = []
+    coverage_jobs: dict[tuple, mc_mod._Job] = {}
+    first_row: dict[tuple, str] = {}  # the row that reports each law's draws
+    for policy in (Policy.COUPLED, Policy.DECOUPLED):
+        for link in (Link.UL, Link.DL):
+            gamma = params.ul_sinr_threshold if link is Link.UL else params.dl_sinr_threshold
+            for tier in (Tier.MACRO, Tier.SMALL):
+                if tier is Tier.SMALL and not has_small:
+                    continue
+                scaled_note = None
+                if link is Link.UL:
+                    analytic = cov_mod.ul_coverage(params, policy, tier, gamma)
+                else:
+                    analytic = cov_mod.dl_coverage(
+                        params, tier, gamma, form=DlCoverageForm.INTERFERENCE
+                    )
+                    scaled = cov_mod.dl_coverage(
+                        params, tier, gamma, form=DlCoverageForm.SCALED_NOISE
+                    )
+                    scaled_note = (
+                        f"scaled_noise dl coverage {policy.value}/{tier.value}: {scaled:.6f}"
+                    )
+                name = f"coverage_{link.value}_{policy.value}_{tier.value}"
+                law = mc_mod._coverage_law(policy, link, tier)
+                if law not in coverage_jobs:
+                    coverage_jobs[law] = mc_mod._coverage_job(
+                        params, policy, link, tier, gamma, trials, seed + 10 + len(coverage_jobs)
+                    )
+                    first_row[law] = name
+                coverage_rows.append((name, analytic, scaled_note, law))
+
+    loads, freq, *drawn = mc_mod._run_jobs(
+        [
+            mc_mod._load_job(params, max(160, trials // 400), seed + 1),
+            mc_mod._association_job(params, trials, seed),
+            *coverage_jobs.values(),
+        ]
+    )
+    estimates = dict(zip(coverage_jobs, drawn))
+
     analytic_assoc = {
         "assoc_dec_small_small": report.a_ss_u,
         "assoc_dec_macro_macro": report.a_mm_u,
@@ -107,7 +154,6 @@ def run_validation(params: ScenarioParams, trials: int, seed: int = 0) -> Valida
     # Per-cell loads: one realization covers both rules and both tiers; the
     # downlink marginals of the decoupled policy obey the same max-power
     # rule as the coupled policy, so they reuse the same measurement.
-    loads = mc_mod._mean_loads_by_rule(params, max(160, trials // 400), seed + 1)
     power_loads, nearest_loads = loads.by_rule["power"], loads.by_rule["nearest"]
     notes.append(
         f"sampler loads: probes {loads.probes} (spacing {loads.spacing:.4g} m,"
@@ -127,43 +173,19 @@ def run_validation(params: ScenarioParams, trials: int, seed: int = 0) -> Valida
             continue
         rows.append(_row(name, report.load[policy, link, tier], estimate))
 
-    # The sampler sees the policy only through its serving rule, and the
-    # downlink follows the max-power rule under both policies, so one estimate
-    # per tier serves both DL rows of that tier, as with the loads above.
-    estimates: dict[tuple[str, Link, Tier], mc_mod.McEstimate] = {}
-    combo_seed = seed + 10
-    for policy in (Policy.COUPLED, Policy.DECOUPLED):
-        for link in (Link.UL, Link.DL):
-            gamma = params.ul_sinr_threshold if link is Link.UL else params.dl_sinr_threshold
-            for tier in (Tier.MACRO, Tier.SMALL):
-                if tier is Tier.SMALL and not has_small:
-                    continue
-                if link is Link.UL:
-                    analytic = cov_mod.ul_coverage(params, policy, tier, gamma)
-                else:
-                    analytic = cov_mod.dl_coverage(
-                        params, tier, gamma, form=DlCoverageForm.INTERFERENCE
-                    )
-                    scaled = cov_mod.dl_coverage(
-                        params, tier, gamma, form=DlCoverageForm.SCALED_NOISE
-                    )
-                    notes.append(
-                        f"scaled_noise dl coverage {policy.value}/{tier.value}: {scaled:.6f}"
-                    )
-                key = (mc_mod._serving_rule(policy, link), link, tier)
-                if key not in estimates:
-                    estimates[key] = mc_mod.empirical_coverage(
-                        params, policy, link, tier, gamma, trials, seed=combo_seed
-                    )
-                    combo_seed += 1
-                estimate = estimates[key]
-                name = f"coverage_{link.value}_{policy.value}_{tier.value}"
-                rows.append(_row(name, analytic, estimate))
-                notes.append(
-                    f"sampler {name}: trials {estimate.trials}, interferers"
-                    f" {estimate.interferers} ({estimate.interferers / estimate.trials:.2f}"
-                    " per trial)"
-                )
+    for name, analytic, scaled_note, law in coverage_rows:
+        if scaled_note is not None:
+            notes.append(scaled_note)
+        estimate = estimates[law]
+        rows.append(_row(name, analytic, estimate))
+        if first_row[law] != name:
+            notes.append(f"sampler {name}: same estimate as {first_row[law]}")
+        else:
+            notes.append(
+                f"sampler {name}: trials {estimate.trials}, interferers"
+                f" {estimate.interferers} ({estimate.interferers / estimate.trials:.2f}"
+                " per trial)"
+            )
 
     return ValidationReport(
         rows=tuple(rows),

@@ -373,14 +373,16 @@ def test_validate_writes_csv_and_flags_injected_fault(tmp_path, monkeypatch, cap
 
 
 def test_validation_makes_one_load_pass_and_notes_sampler_counts(monkeypatch):
+    # run_validation runs the load sampler as a task of its one dispatch,
+    # through the untraced _load_estimates that _mean_loads_by_rule wraps.
     calls = []
-    original = hetmec.montecarlo._mean_loads_by_rule
+    original = hetmec.montecarlo._load_estimates
 
     def spy(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(hetmec.montecarlo, "_mean_loads_by_rule", spy)
+    monkeypatch.setattr(hetmec.montecarlo, "_load_estimates", spy)
     report = run_validation(default_params(), trials=2_000, seed=5)
     assert len(calls) == 1
     coverage_rows = [r.quantity for r in report.rows if r.quantity.startswith("coverage")]

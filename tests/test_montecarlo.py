@@ -27,6 +27,7 @@ from hetmec.montecarlo import (
     _LOOKUP_MARGIN,
     _far_field_exponent,
     _field_exponent,
+    _coverage_law,
     _load_regions,
     _map_batches,
     _mean_loads_by_rule,
@@ -437,6 +438,31 @@ def test_map_batches_claims_every_index_once(monkeypatch):
     assert sorted(calls) == got
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {},
+        {"p_s_dbm": 6.0},
+        {"lambda_s_per_km2": 100.0, "lambda_u_per_km2": 250.0},
+        {"noise_dbm": -60.0, "gamma_ul_db": 5.0},
+    ],
+    ids=["defaults", "p_s_6dbm", "dense_small", "noisy"],
+)
+def test_nearest_rule_uplink_coverage_names_no_tier(raw):
+    # run_validation draws one estimate for both decoupled UL rows.
+    params = params_from_raw(raw)
+    args = (params, Policy.DECOUPLED, Link.UL)
+    gamma = params.ul_sinr_threshold
+    macro = empirical_coverage(*args, Tier.MACRO, gamma, 2 * _BATCH + 5, seed=73)
+    assert empirical_coverage(*args, Tier.SMALL, gamma, 2 * _BATCH + 5, seed=73) == macro
+    for policy, link in [
+        (Policy.COUPLED, Link.UL), (Policy.COUPLED, Link.DL),
+        (Policy.DECOUPLED, Link.UL), (Policy.DECOUPLED, Link.DL),
+    ]:
+        same = _coverage_law(policy, link, Tier.MACRO) == _coverage_law(policy, link, Tier.SMALL)
+        assert same == (policy is Policy.DECOUPLED and link is Link.UL)
+
+
 def _run_fresh(script: str) -> str:
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -477,6 +503,42 @@ def test_analytic_paths_start_no_thread():
         """
     )
     assert counts == ["1", "1", "2"]
+
+
+def test_batch_that_maps_batches_raises_instead_of_hanging():
+    # On a helper thread a nested _map_batches would wait on helpers queued
+    # behind that helper.  The barrier holds one batch on the calling thread
+    # and one on the helper until both make the nested call; a fresh process
+    # with a timeout turns a hang into a failure.
+    out = _run_fresh(
+        """
+        import threading
+        from hetmec import montecarlo
+
+        montecarlo._cpu_count = lambda: 2
+        both = threading.Barrier(2, timeout=30)
+        on_helper = []
+
+        def batch(index):
+            both.wait()
+            try:
+                montecarlo._map_batches(lambda j: j, 2)
+            except RuntimeError:
+                on_helper.append(threading.current_thread().name.startswith("hetmec-batch"))
+                raise
+
+        try:
+            montecarlo._map_batches(batch, 2)
+        except RuntimeError as exc:
+            print(type(exc).__name__, str(exc).replace(" ", "_"))
+        print(sorted(on_helper))
+        print(montecarlo._map_batches(lambda j: j * j, 3))
+        """
+    )
+    assert out == [
+        "RuntimeError", "_map_batches_called_from_one_of_its_own_batches",
+        "[False,", "True]", "[0,", "1,", "4]",
+    ]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
