@@ -47,11 +47,11 @@ Randomness is keyed: every operation derives its generators from
 bit-reproducible for a given (params, seed, trials).  Each estimator is a
 job: independent batches and their reduction (_Job).  The batches of any
 list of jobs run in parallel on the process's CPUs as one dispatch
-(_run_jobs over _map_batches), so a validation run keeps every CPU busy
-with the load sampler's single task running beside the association and
-coverage batches; the load sampler's KD-tree queries are split over the
-CPUs as well.  Each job is reduced from its own batches in batch order, so
-no estimate depends on the number of threads or on the jobs beside it.
+(_run_jobs, on a thread pool that lives for that call only), so a
+validation run keeps every CPU busy with the load sampler's single task,
+KD-tree queries included, running on one thread beside the association and
+coverage batches.  Each job is reduced from its own batches in batch order,
+so no estimate depends on the number of threads or on the jobs beside it.
 """
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ import math
 import os
 import threading
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,73 +105,6 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-# Helper threads of _map_batches, created on first use; a forked child
-# inherits the executor but not its threads, so it makes its own.
-_pool_lock = threading.Lock()
-_pool: tuple[int, ThreadPoolExecutor] | None = None
-# Marks a thread while it runs batches of _map_batches.
-_in_batches = threading.local()
-
-
-def _helper_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():
-            # Threads start only as submitted work needs them.
-            pool = ThreadPoolExecutor(max(_cpu_count() - 1, 1), thread_name_prefix="hetmec-batch")
-            _pool = (os.getpid(), pool)
-        return _pool[1]
-
-
-def _map_batches(batch: Callable[[int], object], count: int) -> list:
-    """[batch(i) for i in range(count)], on up to one thread per CPU.
-
-    The calling thread and min(count, CPUs) - 1 helper threads claim the
-    indices one at a time in order, so one CPU starts no thread.  Each
-    result lands at its index, so the list is the same for any thread count
-    when batch(i) depends on i alone.  Once a batch raises no further index
-    is claimed, and when every thread has stopped the exception is re-raised
-    as it was.  A batch may not call _map_batches: on a helper thread that
-    call would wait on helpers queued behind the helper itself.  So it
-    raises RuntimeError, on whichever thread runs the batch.
-    """
-    if getattr(_in_batches, "active", False):
-        raise RuntimeError("_map_batches called from one of its own batches")
-    threads = min(count, _cpu_count())
-    results = [None] * count
-    lock = threading.Lock()
-    next_index = 0
-
-    def drain() -> None:
-        nonlocal next_index
-        _in_batches.active = True
-        try:
-            while True:
-                with lock:
-                    index = next_index
-                    next_index += 1
-                if index >= count:
-                    return
-                try:
-                    results[index] = batch(index)
-                except BaseException:
-                    with lock:
-                        next_index = count
-                    raise
-        finally:
-            _in_batches.active = False
-
-    # With one thread the pool is not even looked up.
-    helpers = [_helper_pool().submit(drain) for _ in range(threads - 1)]
-    try:
-        drain()
-    finally:
-        wait(helpers)
-    for helper in helpers:
-        helper.result()
-    return results
-
-
 @dataclass(frozen=True)
 class _Job:
     """An estimate as `count` batches, batch(i) depending on i alone, and
@@ -183,15 +116,46 @@ class _Job:
 
 
 def _run_jobs(jobs: list[_Job]) -> list:
-    """Each job's estimate, the batches of all jobs run by one _map_batches.
+    """Each job's estimate, the batches of all jobs run on up to one thread per CPU.
 
-    Batches are claimed in job order, so a long job of one batch given first
-    starts at once and the other threads fill in around it.  Each job is
+    The calling thread and min(batches, CPUs) - 1 helper threads, from a
+    pool made for this call alone, claim the batches one at a time in job
+    order, so a long job of one batch given first starts at once and the
+    other threads fill in around it; one CPU starts no thread.  Each job is
     reduced from its own batches in batch order, so its estimate is the one
-    it gives run alone, for any thread count.
+    it gives run alone, for any thread count.  Once a batch raises no
+    further batch is claimed, and when every thread has stopped the
+    exception is re-raised as it was.  A batch that calls _run_jobs gets a
+    pool of its own.
     """
-    owners = [(job, index) for job in jobs for index in range(job.count)]
-    results = _map_batches(lambda k: owners[k][0].batch(owners[k][1]), len(owners))
+    tasks = [(job.batch, index) for job in jobs for index in range(job.count)]
+    results = [None] * len(tasks)
+    lock = threading.Lock()
+    next_task = 0
+
+    def drain() -> None:
+        nonlocal next_task
+        while True:
+            with lock:
+                task = next_task
+                next_task += 1
+            if task >= len(tasks):
+                return
+            batch, index = tasks[task]
+            try:
+                results[task] = batch(index)
+            except BaseException:
+                with lock:
+                    next_task = len(tasks)
+                raise
+
+    threads = min(len(tasks), _cpu_count())
+    # The pool starts a thread only for work submitted to it.
+    with ThreadPoolExecutor(max(threads - 1, 1), thread_name_prefix="hetmec-batch") as pool:
+        helpers = [pool.submit(drain) for _ in range(threads - 1)]
+        drain()
+    for helper in helpers:
+        helper.result()
     estimates = []
     start = 0
     for job in jobs:
@@ -589,13 +553,8 @@ class LoadEstimates:
     small_lookups: int
 
 
-def _mean_loads_by_rule(params: ScenarioParams, trials: int, seed: int) -> LoadEstimates:
-    """Users per BS under both association rules, both tiers (_load_estimates)."""
-    return _load_estimates(params, trials, seed)
-
-
 def _load_job(params: ScenarioParams, trials: int, seed: int) -> _Job:
-    """_mean_loads_by_rule as a job of one batch."""
+    """_load_estimates as a job of one batch."""
     return _Job(lambda _: _load_estimates(params, trials, seed), 1, lambda batches: batches[0])
 
 
@@ -608,7 +567,10 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
     realization of BSs and lattice probes (_probe_lattice) serves both.
     The estimate is the ratio of the users counted by probes served by
     in-region BSs to the in-region BS count (unbiased for the typical cell;
-    the BS nearest the origin would be size-biased).
+    the BS nearest the origin would be size-biased).  Everything, the
+    KD-tree queries included, runs on the calling thread: in a validation
+    run this is the one batch of _load_job, and the other batches of its
+    dispatch keep the other CPUs busy.
 
     Every probe's nearest macro BS is looked up, its nearest small-cell BS
     only where that can change an in-region count (_needs_small_lookup:
@@ -682,12 +644,9 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
 
     probes, probe_radial, spacing = _probe_lattice(rng, params.user_density, geo["r_user"], offsets)
     n_probes = probes.shape[0]
-    # Each query is answered on its own, so splitting them over threads
-    # leaves every distance and index as it is.
-    workers = _cpu_count()
 
     macro = bs[Tier.MACRO]
-    d_m, i_m = macro["tree"].query(probes, k=1, workers=workers)
+    d_m, i_m = macro["tree"].query(probes, k=1)
     asked = np.zeros(0, dtype=np.int64)
     if bs[Tier.SMALL] is not None:
         asked = np.flatnonzero(
@@ -703,7 +662,7 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
     # so it is booked to its macro BS under both rules.
     d_s, i_s = np.zeros(0), np.zeros(0, dtype=np.int64)
     if asked.size:
-        d_s, i_s = bs[Tier.SMALL]["tree"].query(asked_probes, k=1, workers=workers)
+        d_s, i_s = bs[Tier.SMALL]["tree"].query(asked_probes, k=1)
     d_m_asked = d_m[asked]
     small_wins_by_rule = {
         "power": _power_rule_small_wins(params, d_m_asked, d_s),

@@ -86,7 +86,7 @@ def run_validation(params: ScenarioParams, trials: int, seed: int = 0) -> Valida
     as its one task is the longest, then the association and coverage
     batches around it, which keeps the full run to about 0.4 s at
     trials = 1e5 on a 2-vCPU host.  Every estimate is the one its own
-    empirical_* or _mean_loads_by_rule call gives at the same seed.
+    empirical_* or _load_estimates call gives at the same seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -229,7 +229,7 @@ def own_tier_load_regions(params) -> dict:
 def _bs_tiers(params, trials: int, rng, geo: dict, offsets):
     """Both BS tiers of one load realization, each in a default KD-tree.
 
-    Drawn as `montecarlo._mean_loads_by_rule` draws them: same generator,
+    Drawn as `montecarlo._load_estimates` draws them: same generator,
     same order of draws, in the regions `geo`.
     """
     from scipy.spatial import cKDTree
@@ -304,7 +304,7 @@ def _lookups(params, bs, points):
 def _user_realization(params, trials: int, seed: int, geo: dict):
     """One load realization of BSs and Poisson users in the regions `geo`.
 
-    The BSs are drawn as `montecarlo._mean_loads_by_rule` draws them, the
+    The BSs are drawn as `montecarlo._load_estimates` draws them, the
     users after them from the same generator; every user is looked up in
     both KD-trees.  Returns the BS tiers, each user's distance to its trial
     centre, its nearest BS index per tier, and per rule whether the
@@ -335,7 +335,7 @@ def served_by_counted_bs(params, trials: int, seed: int, geo: dict):
 
 def _ratio_estimates(bs, index, small_wins_by_rule, trials: int, users_per_point: float):
     """{rule: {tier: users per in-region BS}}, the ratio estimator of
-    `montecarlo._mean_loads_by_rule` with its standard error."""
+    `montecarlo._load_estimates` with its standard error."""
     out = {}
     for rule, small_wins in small_wins_by_rule.items():
         out[rule] = {}
@@ -364,7 +364,7 @@ def _ratio_estimates(bs, index, small_wins_by_rule, trials: int, users_per_point
 def unpruned_mean_loads(params, trials: int, seed: int):
     """Users per BS under both rules, querying both KD-trees for every probe.
 
-    Draws the same realization as `montecarlo._mean_loads_by_rule` (same
+    Draws the same realization as `montecarlo._load_estimates` (same
     generator, same order of draws: both BS tiers, then the lattice shifts)
     and returns {rule: {tier: estimate}} with the number of probes; the
     library's sampler must reproduce both bit for bit.

@@ -374,7 +374,7 @@ def test_validate_writes_csv_and_flags_injected_fault(tmp_path, monkeypatch, cap
 
 def test_validation_makes_one_load_pass_and_notes_sampler_counts(monkeypatch):
     # run_validation runs the load sampler as a task of its one dispatch,
-    # through the untraced _load_estimates that _mean_loads_by_rule wraps.
+    # through the untraced _load_estimates, the load job's one batch.
     calls = []
     original = hetmec.montecarlo._load_estimates
 

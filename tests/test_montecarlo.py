@@ -28,13 +28,14 @@ from hetmec.montecarlo import (
     _far_field_exponent,
     _field_exponent,
     _coverage_law,
+    _Job,
+    _load_estimates,
     _load_regions,
-    _map_batches,
-    _mean_loads_by_rule,
     _nearest_distances,
     _needs_small_lookup,
     _power_rule_small_wins,
     _rng,
+    _run_jobs,
     _serving_rule,
     _serving_slope,
     empirical_association,
@@ -412,30 +413,34 @@ def test_failing_batch_reraises_and_pool_recovers(cpus, monkeypatch):
     with pytest.raises(RuntimeError) as excinfo:
         empirical_coverage(*args, seed=72)
     assert type(excinfo.value) is RuntimeError and str(excinfo.value) == "batch 3"
-    pool = hetmec.montecarlo._pool
     monkeypatch.setattr(hetmec.montecarlo, "_field_exponent", field_exponent)
     assert empirical_coverage(*args, seed=72) == serial_coverage(*args, seed=72)
-    assert hetmec.montecarlo._pool is pool
 
 
-def test_map_batches_claims_every_index_once(monkeypatch):
+def test_run_jobs_claims_every_batch_once(monkeypatch):
     # More threads than CPUs and a short switch interval: a claim lost or
-    # taken twice would skip or repeat an index.
+    # taken twice would skip or repeat a batch.  Each job gets its own
+    # batches back, in batch order.
     monkeypatch.setattr(hetmec.montecarlo, "_cpu_count", lambda: 8)
+    counts = [1, 7_000, 3, 13_000, 2]
     calls = []
 
-    def batch(index):
-        calls.append(index)
-        return index
+    def job(number, count):
+        def batch(index):
+            calls.append((number, index))
+            return number, index
+
+        return _Job(batch, count, list)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = _map_batches(batch, 20_000)
+        got = _run_jobs([job(number, count) for number, count in enumerate(counts)])
     finally:
         sys.setswitchinterval(interval)
-    assert got == list(range(20_000))
-    assert sorted(calls) == got
+    expected = [[(number, index) for index in range(count)] for number, count in enumerate(counts)]
+    assert got == expected
+    assert sorted(calls) == [call for batches in expected for call in batches]
 
 
 @pytest.mark.parametrize(
@@ -480,8 +485,10 @@ def _run_fresh(script: str) -> str:
 
 def test_analytic_paths_start_no_thread():
     # Neither the analytic report nor a figure sweep calls the sampler, so
-    # neither starts its threads; two coverage batches on two CPUs start one.
-    counts = _run_fresh(
+    # neither starts a thread.  Two coverage batches on two CPUs run one on
+    # the calling thread and one on a helper, which is gone once the call
+    # returns.
+    out = _run_fresh(
         """
         import contextlib, io, threading
         import hetmec
@@ -495,21 +502,33 @@ def test_analytic_paths_start_no_thread():
         run_sweep(figure_sweep_spec(2))
         print(threading.active_count())
         montecarlo._cpu_count = lambda: 2
+        field_exponent = montecarlo._field_exponent
+        # Holds each batch until the other has started, on another thread.
+        both = threading.Barrier(2, timeout=30)
+        threads = []
+
+        def recording(*args):
+            threads.append(threading.current_thread().name.split("_")[0])
+            both.wait()
+            return field_exponent(*args)
+
+        montecarlo._field_exponent = recording
         montecarlo.empirical_coverage(
             hetmec.default_params(), Policy.COUPLED, Link.UL, Tier.MACRO, 0.1,
             2 * montecarlo._BATCH, seed=1,
         )
         print(threading.active_count())
+        print(*sorted(threads))
         """
     )
-    assert counts == ["1", "1", "2"]
+    assert out == ["1", "1", "1", "MainThread", "hetmec-batch"]
 
 
-def test_batch_that_maps_batches_raises_instead_of_hanging():
-    # On a helper thread a nested _map_batches would wait on helpers queued
-    # behind that helper.  The barrier holds one batch on the calling thread
-    # and one on the helper until both make the nested call; a fresh process
-    # with a timeout turns a hang into a failure.
+def test_batch_that_runs_jobs_gets_its_own_pool():
+    # A batch on the calling thread and one on a helper each run jobs of
+    # their own.  The barrier holds both batches until both have started,
+    # so the nested calls overlap; a fresh process with a timeout turns a
+    # hang into a failure.
     out = _run_fresh(
         """
         import threading
@@ -517,28 +536,19 @@ def test_batch_that_maps_batches_raises_instead_of_hanging():
 
         montecarlo._cpu_count = lambda: 2
         both = threading.Barrier(2, timeout=30)
-        on_helper = []
 
         def batch(index):
             both.wait()
-            try:
-                montecarlo._map_batches(lambda j: j, 2)
-            except RuntimeError:
-                on_helper.append(threading.current_thread().name.startswith("hetmec-batch"))
-                raise
+            nested = montecarlo._Job(lambda j: index * 10 + j, 3, list)
+            return threading.current_thread().name.split("_")[0], montecarlo._run_jobs([nested])
 
-        try:
-            montecarlo._map_batches(batch, 2)
-        except RuntimeError as exc:
-            print(type(exc).__name__, str(exc).replace(" ", "_"))
-        print(sorted(on_helper))
-        print(montecarlo._map_batches(lambda j: j * j, 3))
+        got = montecarlo._run_jobs([montecarlo._Job(batch, 2, list)])[0]
+        print(*sorted(name for name, _ in got))
+        print(*(value for _, nested in got for value in nested[0]))
+        print(*montecarlo._run_jobs([montecarlo._Job(lambda j: j * j, 3, list)])[0])
         """
     )
-    assert out == [
-        "RuntimeError", "_map_batches_called_from_one_of_its_own_batches",
-        "[False,", "True]", "[0,", "1,", "4]",
-    ]
+    assert out == ["MainThread", "hetmec-batch", "0", "1", "2", "10", "11", "12", "0", "1", "4"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -568,21 +578,12 @@ def test_forked_child_runs_coverage_on_its_own_threads():
     assert out == ["0"]
 
 
-@pytest.mark.parametrize("cpus", [1, 4])
-def test_load_sampler_matches_at_any_cpu_count(cpus, monkeypatch):
-    # Every KD-tree query is answered on its own, so the workers that share
-    # them change no distance or index.
-    expected = _mean_loads_by_rule(DEFAULTS, trials=60, seed=24)
-    monkeypatch.setattr(hetmec.montecarlo, "_cpu_count", lambda: cpus)
-    assert _mean_loads_by_rule(DEFAULTS, trials=60, seed=24) == expected
-
-
 def test_empirical_mean_load_matches_closed_forms():
     for policy, link, tier, seed in [
         (Policy.COUPLED, Link.UL, Tier.SMALL, 21),
         (Policy.DECOUPLED, Link.UL, Tier.MACRO, 22),
     ]:
-        loads = _mean_loads_by_rule(DEFAULTS, trials=400, seed=seed)
+        loads = _load_estimates(DEFAULTS, trials=400, seed=seed)
         est = loads.by_rule[_serving_rule(policy, link)][tier]
         target = association_report(DEFAULTS).load[policy, link, tier]
         assert abs(est.mean - target) < 3.0 * est.std_error
@@ -604,7 +605,7 @@ def test_empirical_load_probe_conservation(monkeypatch):
 
     monkeypatch.setattr(spatial, "cKDTree", RecordingTree)
     trials = 60
-    loads = _mean_loads_by_rule(DEFAULTS, trials=trials, seed=23)
+    loads = _load_estimates(DEFAULTS, trials=trials, seed=23)
     (macro_bs, probes, d_m, i_m), (small_bs, asked_probes, d_s_asked, i_s_asked) = trees
     assert probes.shape[0] == loads.probes
     spacing = _load_regions(DEFAULTS)["spacing"]
@@ -627,7 +628,7 @@ def test_empirical_load_probe_conservation(monkeypatch):
     # Loads weighted by BS density add back to the user density.
     lam_m = DEFAULTS.macro.density
     lam_s = DEFAULTS.small.density
-    loads = _mean_loads_by_rule(DEFAULTS, trials=400, seed=23).by_rule["power"]
+    loads = _load_estimates(DEFAULTS, trials=400, seed=23).by_rule["power"]
     small, macro = loads[Tier.SMALL], loads[Tier.MACRO]
     total = small.mean * lam_s + macro.mean * lam_m
     se = math.hypot(small.std_error * lam_s, macro.std_error * lam_m)
@@ -635,14 +636,14 @@ def test_empirical_load_probe_conservation(monkeypatch):
 
 
 def test_empirical_mean_load_bit_reproducible():
-    a = _mean_loads_by_rule(DEFAULTS, trials=60, seed=24)
-    b = _mean_loads_by_rule(DEFAULTS, trials=60, seed=24)
+    a = _load_estimates(DEFAULTS, trials=60, seed=24)
+    b = _load_estimates(DEFAULTS, trials=60, seed=24)
     assert a == b
 
 
 def test_zero_density_tier_load_is_zero():
     p = params_from_raw({"lambda_s_per_km2": 0.0})
-    est = _mean_loads_by_rule(p, trials=30, seed=25).by_rule["power"][Tier.SMALL]
+    est = _load_estimates(p, trials=30, seed=25).by_rule["power"][Tier.SMALL]
     assert est.mean == 0.0 and est.std_error == 0.0
 
 
@@ -668,7 +669,7 @@ def test_pruned_load_lookups_match_unpruned_sampler(config, seed, monkeypatch):
     if tail_log is not None:
         monkeypatch.setattr(hetmec.montecarlo, "_LOAD_TAIL_LOG", tail_log)
     params = params_from_raw(raw)
-    loads = _mean_loads_by_rule(params, trials=30, seed=seed)
+    loads = _load_estimates(params, trials=30, seed=seed)
     expected, probes = unpruned_mean_loads(params, trials=30, seed=seed)
     assert loads.probes == probes
     for rule, by_tier in expected.items():
@@ -686,7 +687,7 @@ def test_load_sampler_looks_up_few_small_cells():
     # band near the small-cell pick region, about 89 per trial, whatever
     # the width of the probe disc.
     trials = 60
-    loads = _mean_loads_by_rule(DEFAULTS, trials=trials, seed=43)
+    loads = _load_estimates(DEFAULTS, trials=trials, seed=43)
     pick_macro = _load_regions(DEFAULTS)["picks"][Tier.MACRO]
     in_region_probes = math.pi * pick_macro**2 / loads.spacing**2 * trials
     assert loads.probes > 0
@@ -699,7 +700,7 @@ def test_lattice_loads_match_user_process(config):
     # agree with those of the Poisson user process it replaced, drawn on an
     # independent realization.
     params = params_from_raw(LOAD_CONFIGS[config][0])
-    lattice = _mean_loads_by_rule(params, trials=400, seed=45).by_rule
+    lattice = _load_estimates(params, trials=400, seed=45).by_rule
     users = user_process_mean_loads(params, trials=400, seed=46)
     for rule, by_tier in users.items():
         for tier, reference in by_tier.items():
@@ -714,7 +715,7 @@ def test_load_sampler_refuses_a_lattice_too_fine_before_drawing_it():
     # (allocating its sites would fail with a MemoryError instead).
     params = params_from_raw({"lambda_u_per_km2": 1e30})
     with pytest.raises(RuntimeError, match="probe lattice"):
-        _mean_loads_by_rule(params, trials=160, seed=47)
+        _load_estimates(params, trials=160, seed=47)
 
 
 WINDOW_CONFIGS = {

@@ -12,7 +12,7 @@ from hetmec.association import Link, Policy, Tier
 from hetmec.config import params_from_raw
 from hetmec.montecarlo import (
     _BATCH,
-    _mean_loads_by_rule,
+    _load_estimates,
     empirical_association,
     empirical_coverage,
 )
@@ -39,7 +39,7 @@ def test_each_row_is_its_standalone_estimate():
     seed = 5
     report = run_validation(DEFAULTS, TRIALS, seed)
     expected = dict(empirical_association(DEFAULTS, TRIALS, seed))
-    loads = _mean_loads_by_rule(DEFAULTS, 160, seed + 1).by_rule
+    loads = _load_estimates(DEFAULTS, 160, seed + 1).by_rule
     for name, rule, tier in [
         ("load_coupled_small", "power", Tier.SMALL),
         ("load_coupled_macro", "power", Tier.MACRO),
