@@ -48,39 +48,10 @@ def _load_params(path: str | None):
     return parse_config(text)
 
 
-# Report labels, built once in printed order.  Load lines sort by the enum
-# values of (policy, link, tier); each case prints six lines from one template.
-_MARGINAL_LABELS = {
-    link: tuple((tier, f"assoc.decoupled.marginal.{link.value}.{tier.value} = ") for tier in Tier)
-    for link in Link
-}
-_LOAD_LABELS = tuple(
-    ((policy, link, tier), f"load.{policy.value}.{link.value}.{tier.value} = ")
-    for policy, link, tier in sorted(
-        itertools.product(Policy, Link, Tier),
-        key=lambda key: tuple(member.value for member in key),
-    )
+# The load lines print in the sorted order of their (policy, link, tier) names.
+_LOAD_KEYS = sorted(
+    itertools.product(Policy, Link, Tier), key=lambda key: tuple(member.value for member in key)
 )
-_UL_COVERAGE_LABELS = {
-    (policy, tier): f"coverage.ul.{policy.value}.{tier.value} = "
-    for policy in Policy
-    for tier in Tier
-}
-_DL_COVERAGE_LABELS = {
-    tier: tuple((form, f"coverage.dl.{form.value}.{tier.value} = ") for form in DlCoverageForm)
-    for tier in Tier
-}
-_CASE_FIELDS = ("weight", "ul_time_s", "exec_time_s", "backhaul_time_s", "dl_time_s", "total_s")
-_CASE_LINES = {
-    (scheme, ul_tier, dl_tier): "".join(
-        f"case.{scheme.value}.{ul_tier.value}_{dl_tier.value}.{field} = {{!r}}\n"
-        for field in _CASE_FIELDS
-    )
-    for scheme in Scheme
-    for ul_tier in Tier
-    for dl_tier in Tier
-}
-_AVERAGE_LABELS = {scheme: f"average.{scheme.value}.total_s = " for scheme in Scheme}
 
 
 def cmd_analytic(args) -> int:
@@ -112,40 +83,39 @@ def _analytic_report(params, form: DlCoverageForm, out: list[str]) -> None:
         f"assoc.decoupled.macro_small = {report.a_ms_u!r}\n"
     )
     for link, marg in ((Link.UL, report.a_ul), (Link.DL, report.a_dl)):
-        for tier, label in _MARGINAL_LABELS[link]:
-            out.append(f"{label}{marg[tier]!r}\n")
-    load = report.load
-    for key, label in _LOAD_LABELS:
-        out.append(f"{label}{load[key]!r}\n")
+        for tier in Tier:
+            out.append(f"assoc.decoupled.marginal.{link.value}.{tier.value} = {marg[tier]!r}\n")
+    for policy, link, tier in _LOAD_KEYS:
+        load = report.load[policy, link, tier]
+        out.append(f"load.{policy.value}.{link.value}.{tier.value} = {load!r}\n")
 
-    for key, cov in point.ul_coverage.items():
-        out.append(f"{_UL_COVERAGE_LABELS[key]}{cov!r}\n")
+    for (policy, tier), cov in point.ul_coverage.items():
+        out.append(f"coverage.ul.{policy.value}.{tier.value} = {cov!r}\n")
     # The point holds the DL coverage of its own form; only the other form
     # is evaluated here.
     for tier in point.tiers:
-        for cov_form, label in _DL_COVERAGE_LABELS[tier]:
+        for cov_form in DlCoverageForm:
             if cov_form is form:
                 cov = point.dl_coverage[tier]
             else:
                 cov = dl_coverage(params, tier, params.dl_sinr_threshold, form=cov_form)
-            out.append(f"{label}{cov!r}\n")
+            out.append(f"coverage.dl.{cov_form.value}.{tier.value} = {cov!r}\n")
 
     # Each case is computed once, and the average is taken over those cases.
-    for scheme, average_label in _AVERAGE_LABELS.items():
+    for scheme in Scheme:
         weighted = []
         for ul_tier, dl_tier, weight, case in case_latencies(point, scheme):
             weighted.append((weight, case))
+            prefix = f"case.{scheme.value}.{ul_tier.value}_{dl_tier.value}."
             out.append(
-                _CASE_LINES[scheme, ul_tier, dl_tier].format(
-                    weight,
-                    case.ul_time,
-                    case.exec_time,
-                    case.backhaul_time,
-                    case.dl_time,
-                    case.total,
-                )
+                f"{prefix}weight = {weight!r}\n"
+                f"{prefix}ul_time_s = {case.ul_time!r}\n"
+                f"{prefix}exec_time_s = {case.exec_time!r}\n"
+                f"{prefix}backhaul_time_s = {case.backhaul_time!r}\n"
+                f"{prefix}dl_time_s = {case.dl_time!r}\n"
+                f"{prefix}total_s = {case.total!r}\n"
             )
-        out.append(f"{average_label}{mean_breakdown(weighted).total!r}\n")
+        out.append(f"average.{scheme.value}.total_s = {mean_breakdown(weighted).total!r}\n")
 
 
 def cmd_sweep(args) -> int:

@@ -356,8 +356,4 @@ def canonical_config(params: ScenarioParams) -> str:
     is the last-ulp wobble of the dBm/dB transforms.
     """
     raw = raw_from_params(params)
-    lines = []
-    for key in RAW_DEFAULTS:
-        value = raw[key]
-        lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {raw[key]}\n" for key in RAW_DEFAULTS)

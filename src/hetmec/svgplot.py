@@ -61,6 +61,13 @@ def parse_sweep_csv(text: str) -> tuple[list[dict], dict]:
     return rows, meta
 
 
+def _escape(text: str) -> str:
+    # Text content of an SVG element: `&` and `<` must not appear raw.  Done
+    # by hand: importing xml.sax.saxutils would load 15 more modules into
+    # every hetmec process.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _format_si(value: float) -> str:
     for scale, suffix in ((1e9, "G"), (1e6, "M"), (1e3, "k")):
         if abs(value) >= scale:
@@ -161,7 +168,8 @@ def render_sweep_chart(csv_text: str, title: str | None = None) -> str:
     ]
     if title:
         parts.append(
-            f'<text x="{WIDTH / 2:.1f}" y="14" text-anchor="middle" font-size="14">{title}</text>'
+            f'<text x="{WIDTH / 2:.1f}" y="14" text-anchor="middle" font-size="14">'
+            f"{_escape(title)}</text>"
         )
 
     # Grid and axes.
@@ -195,7 +203,7 @@ def render_sweep_chart(csv_text: str, title: str | None = None) -> str:
     )
     parts.append(
         f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle">'
-        f"{axis_name}</text>"
+        f"{_escape(axis_name)}</text>"
     )
     parts.append(
         f'<text x="18" y="{MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
@@ -238,7 +246,7 @@ def render_sweep_chart(csv_text: str, title: str | None = None) -> str:
             f'<line x1="{legend_x}" y1="{y - 4}" x2="{legend_x + 26}" y2="{y - 4}" '
             f'stroke="{color}" stroke-width="1.8"{dash_attr}/>'
         )
-        parts.append(f'<text x="{legend_x + 32}" y="{y}">{label}</text>')
+        parts.append(f'<text x="{legend_x + 32}" y="{y}">{_escape(label)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -3,7 +3,9 @@
 A sweep walks one axis (a configuration key or one of the ratio pseudo-axes
 below), optionally crossed with a small set of variants (e.g. two backhaul
 capacities, two SINR thresholds), and records the probability-weighted
-latency breakdown of each scheme at every grid point.
+latency breakdown of each of the three schemes at every grid point.  A
+`SweepSpec` holds the `axis`, its grid `values`, the `variants`, a `label`
+for the CSV header, and `auto_user_density`.
 
 The four preset figures:
 
@@ -20,7 +22,8 @@ than aborting the sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from .config import ScenarioParams, params_from_raw, raw_from_params, RAW_DEFAULTS
 from .coverage import DlCoverageForm
@@ -46,12 +49,16 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: an axis, its grid, scheme set, and per-curve variants."""
+    """One sweep: an axis, its grid, and its per-curve variants.
 
+    Each variant is a dict of raw configuration keys laid over the base
+    configuration before the axis value is applied.  Every sweep evaluates
+    all three schemes, in the order of the class constant `schemes`.
+    """
+
+    schemes: ClassVar[tuple[Scheme, ...]] = ALL_SCHEMES
     axis: str
     values: tuple[float, ...]
-    schemes: tuple[Scheme, ...] = ALL_SCHEMES
-    overrides: dict = field(default_factory=dict)
     variants: tuple[dict, ...] = ({},)
     label: str = "custom"
     # Lift the user density to the total BS density where a grid point would
@@ -99,7 +106,6 @@ def _apply_axis(raw: dict, axis: str, value: float) -> None:
 
 def resolve_point_raw(spec: SweepSpec, base_raw: dict, value: float, variant: dict) -> dict:
     raw = dict(base_raw)
-    raw.update(spec.overrides)
     raw.update(variant)
     _apply_axis(raw, spec.axis, value)
     if spec.auto_user_density:
@@ -200,8 +206,6 @@ def run_sweep(
 
 
 def _format(value: float) -> str:
-    if math.isinf(value):
-        return "inf"
     return repr(float(value))
 
 
@@ -225,10 +229,7 @@ def sweep_csv(
             "wherever the grid point would exceed the thinning bound"
         )
     lines.append("# base configuration:")
-    for key, value in base_raw.items():
-        if key in spec.overrides:
-            value = spec.overrides[key]
-        lines.append(f"#   {key} = {value!r}" if isinstance(value, float) else f"#   {key} = {value}")
+    lines.extend(f"#   {key} = {value}" for key, value in base_raw.items())
     lines.append(",".join(CSV_COLUMNS))
     for row in rows:
         lines.append(

@@ -216,8 +216,7 @@ def validation_csv(report: ValidationReport, params: ScenarioParams) -> str:
         lines.append(
             f"# insufficient power: trials < {MIN_TRIALS_FOR_POWER}; no verdict"
         )
-    for key, value in raw_from_params(params).items():
-        lines.append(f"# {key} = {value!r}" if isinstance(value, float) else f"# {key} = {value}")
+    lines.extend(f"# {key} = {value}" for key, value in raw_from_params(params).items())
     for note in report.notes:
         lines.append(f"# {note}")
     lines.append("quantity,analytic,empirical,std_error,z_score")

@@ -6,7 +6,9 @@ with hetmec's latency layers.  The `scenarios` workload of
 `perfbench/workloads.py` holds 300 random reports per seed to it, and those
 of its reference seed to `perfbench/reference/` as well.  The workload is
 imported by path and run as the benchmark runs it.  The same checks also
-run over the test's own draw of the axes the benchmark does not vary.
+run over the test's own draw of the axes the benchmark does not vary, and
+one pass of each of the `figures` and `validate` workloads is held to its
+own check.
 """
 import importlib.util
 import random
@@ -39,6 +41,15 @@ def test_benchmark_scenarios_pass_their_independent_checks(seed, tmp_path, monke
     result = scenarios.run_pass(time.perf_counter)
     assert len(result.outputs) == scenarios.ops_per_pass == workloads.SCENARIO_COUNT
     assert scenarios.check(result.outputs) == []
+
+
+@pytest.mark.parametrize("name", ["figures", "validate"])
+def test_benchmark_workload_pass_passes_its_check(name, tmp_path, monkeypatch):
+    workloads = _workloads(monkeypatch)
+    workload = workloads.WORKLOADS[name](1, str(tmp_path))
+    result = workload.run_pass(time.perf_counter)
+    assert len(result.op_s) == workload.ops_per_pass
+    assert workload.check(result.outputs) == []
 
 
 def _own_draw(seed: int, count: int) -> list[tuple[dict, str]]:

@@ -163,7 +163,7 @@ def test_empirical_coverage_std_error_scaling():
         (Policy.COUPLED, Link.DL, Tier.SMALL),
     ],
 )
-def test_empirical_coverage_agrees_with_quadrature(policy, link, tier):
+def test_empirical_coverage_agrees_with_closed_form(policy, link, tier):
     gamma = 0.1
     trials = 30_000
     est = empirical_coverage(DEFAULTS, policy, link, tier, gamma, trials, seed=9)
@@ -578,7 +578,7 @@ def test_forked_child_runs_coverage_on_its_own_threads():
     assert out == ["0"]
 
 
-def test_empirical_mean_load_matches_closed_forms():
+def test_load_estimates_match_closed_forms():
     for policy, link, tier, seed in [
         (Policy.COUPLED, Link.UL, Tier.SMALL, 21),
         (Policy.DECOUPLED, Link.UL, Tier.MACRO, 22),
@@ -635,7 +635,7 @@ def test_empirical_load_probe_conservation(monkeypatch):
     assert abs(total - DEFAULTS.user_density) < 4.0 * se
 
 
-def test_empirical_mean_load_bit_reproducible():
+def test_load_estimates_bit_reproducible():
     a = _load_estimates(DEFAULTS, trials=60, seed=24)
     b = _load_estimates(DEFAULTS, trials=60, seed=24)
     assert a == b

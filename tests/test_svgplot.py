@@ -1,9 +1,14 @@
 import math
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from hetmec.svgplot import parse_sweep_csv, render_sweep_chart
 from hetmec.sweeps import figure_sweep_spec, run_sweep, sweep_csv
+
+OUTPUT = Path(__file__).resolve().parent.parent / "demos" / "output"
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 @pytest.fixture(scope="module")
@@ -58,3 +63,34 @@ def test_parse_round_trip(fig2_csv):
 def test_empty_csv_rejected():
     with pytest.raises(ValueError, match="no data rows"):
         render_sweep_chart("# only a comment\n")
+
+
+def test_text_is_escaped_and_parses_back_unchanged():
+    title = 'A & B <fig2> "x"'
+    text = (
+        "# axis: b_in<b_out & more\n"
+        "axis_value,backhaul_bps,scheme,ul_time_s,exec_time_s,backhaul_time_s,dl_time_s,total_s,gamma_db\n"
+        "1.0,1e7,coupled<&>,0.01,0.002,0.0,0.005,0.017,-10.0\n"
+        "2.0,1e7,coupled<&>,0.01,0.002,0.0,0.005,0.018,-10.0\n"
+    )
+    root = ET.fromstring(render_sweep_chart(text, title=title))
+    texts = [element.text for element in root.iter(f"{SVG}text")]
+    assert title in texts
+    assert "b_in<b_out & more" in texts
+    assert "coupled<&>" in texts
+
+
+# The title demos/03_latency_figures.py gives each committed chart.
+DEMO_TITLES = {
+    2: "Average offloading latency vs SINR threshold",
+    3: "Average offloading latency vs small/macro density ratio",
+    4: "Average offloading latency vs cloudlet capacity ratio",
+    5: "Average offloading latency vs input/output bits ratio",
+}
+
+
+@pytest.mark.parametrize("figure", sorted(DEMO_TITLES))
+def test_committed_chart_matches_its_csv_rendering(figure):
+    csv_text = (OUTPUT / f"fig{figure}.csv").read_text(encoding="utf-8")
+    want = (OUTPUT / f"fig{figure}.svg").read_text(encoding="utf-8")
+    assert render_sweep_chart(csv_text, title=DEMO_TITLES[figure]) == want

@@ -193,27 +193,26 @@ def test_auto_user_density_lifts_to_exactly_the_bs_density():
     spec = SweepSpec(
         axis="lambda_s_per_km2",
         values=(9.0, 12.0, 14.0),
-        overrides={"lambda_u_per_km2": 1.0},
-        schemes=(Scheme.COUPLED_ACCESS,),
+        variants=({"lambda_u_per_km2": 1.0},),
         auto_user_density=True,
     )
     rows = run_sweep(spec)
-    assert [r.axis_value for r in rows] == [9.0, 12.0, 14.0]
+    assert [r.axis_value for r in rows if r.scheme is Scheme.COUPLED_ACCESS] == [9.0, 12.0, 14.0]
     assert all(math.isfinite(r.total) for r in rows)
-    lifted = params_from_raw(resolve_point_raw(spec, dict(RAW_DEFAULTS), 9.0, {}))
+    lifted = params_from_raw(resolve_point_raw(spec, dict(RAW_DEFAULTS), 9.0, spec.variants[0]))
     assert lifted.user_density == pytest.approx(10.0e-6, rel=1e-15)
 
 
 def test_base_params_flow_into_sweep():
     base = params_from_raw({"w_ul_hz": 2.8e6})
-    spec = SweepSpec(axis="c_bh_bps", values=(1e7,), schemes=(Scheme.COUPLED_ACCESS,))
+    spec = SweepSpec(axis="c_bh_bps", values=(1e7,))
     row = run_sweep(spec, base=base)[0]
     default_row = run_sweep(spec, base=default_params())[0]
     assert row.ul_time < default_row.ul_time
 
 
 def test_dl_coverage_form_changes_results():
-    spec = SweepSpec(axis="c_bh_bps", values=(1e7,), schemes=(Scheme.COUPLED_ACCESS,))
+    spec = SweepSpec(axis="c_bh_bps", values=(1e7,))
     scaled = run_sweep(spec, form=DlCoverageForm.SCALED_NOISE)[0]
     interference = run_sweep(spec, form=DlCoverageForm.INTERFERENCE)[0]
     assert interference.dl_time > scaled.dl_time
