@@ -1,25 +1,26 @@
 """Monte Carlo point-process oracle for the closed-form model.
 
 Everything here samples the geometry directly: homogeneous Poisson point
-processes for both BS tiers and the users, max-power or nearest-BS
-association applied to the sampled points, and exponential (Rayleigh-power)
-fading on every interfering link.  For the association tallies a nearest-BS
-distance is drawn from one uniform by inverting the void probability
-P(d > r) = exp(-lambda pi r^2).  A coverage trial draws its serving distance
-from its law given the serving tier (_serving_slope); given that distance
-each interferer field is a PPP outside its exclusion disc, so no trial is
-rejected.  No coverage integral is consulted and nothing of the analytic
-modules is called: the sampler computes that law's rate itself, and a test
-holds its draws to a rejection-conditioned reference.  Agreement with the
-analytic modules is therefore evidence of implementation fidelity.
+processes for both BS tiers and the users, and max-power or nearest-BS
+association applied to the sampled points; the exponential (Rayleigh-power)
+fading of every link is averaged out exactly.  For the association tallies a
+nearest-BS distance is drawn from one uniform by inverting the void
+probability P(d > r) = exp(-lambda pi r^2).  A coverage trial draws its
+serving distance from its law given the serving tier (_serving_slope); given
+that distance each interferer field is a PPP outside its exclusion disc, so
+no trial is rejected.  No coverage integral is consulted and nothing of the
+analytic modules is called: the sampler computes that law's rate itself, and
+a test holds its draws to a rejection-conditioned reference.  Agreement with
+the analytic modules is therefore evidence of implementation fidelity.
 
 Coverage is Rao-Blackwellised.  Given the serving distance x and the
-sampled interference I, the serving fade is averaged out exactly: a trial
-contributes its conditional success probability exp(-s (N + I)) with
-s = gamma x^4 / P_tx (Haenggi, "The Meta Distribution of the SIR", IEEE TWC
-2016) instead of a success indicator.  Interferers are sampled only out to a
-per-trial radius R of a few typical spacings (wider where the trial's own
-exclusion radius is); the Rayleigh-faded Poisson field beyond R enters
+interferer positions, every fade is averaged out exactly: a trial
+contributes its success probability given the point process,
+exp(-s N) prod_j 1 / (1 + s P_j / r_j^4) with s = gamma x^4 / P_tx
+(Haenggi, "The Meta Distribution of the SIR", IEEE TWC 2016), instead of a
+success indicator, and no fade is drawn.  Interferers are sampled only out
+to a per-trial radius R of a few typical spacings (wider where the trial's
+own exclusion radius is); the Rayleigh-faded Poisson field beyond R enters
 through its exact Laplace functional at alpha = 4,
 exp(-lambda pi sqrt(sP) arctan(sqrt(sP) / R^2)) (Andrews, Baccelli and
 Ganti, IEEE TCOM 2011), so the cut costs variance, not bias.  The standard
@@ -42,12 +43,13 @@ Two modeling conventions are intentionally mirrored from the analytic side
 * The downlink interference field consists of every other BS of both tiers,
   each no closer (in power-weighted terms) than the serving BS.
 
-Randomness is keyed: every operation derives its generators from
-(seed, operation tag, batch index) via numpy's SeedSequence, so results are
-bit-reproducible for a given (params, seed, trials).  Each estimator is a
-job: independent batches and their reduction (_Job).  The batches of any
-list of jobs run in parallel on the process's CPUs as one dispatch
-(_run_jobs, on a thread pool that lives for that call only), so a
+Randomness is keyed: every operation derives its generators from (seed,
+operation tag, batch index) via numpy's SeedSequence, coverage also from its
+law's code (_coverage_law), so results are bit-reproducible for a given
+(params, seed, trials), and validation runs at two seeds share no stream.
+Each estimator is a job: independent batches and their reduction (_Job).
+The batches of any list of jobs run in parallel on the process's CPUs as one
+dispatch (_run_jobs, on a thread pool that lives for that call only), so a
 validation run keeps every CPU busy with the load sampler's single task,
 KD-tree queries included, running on one thread beside the association and
 coverage batches.  Each job is reduced from its own batches in batch order,
@@ -250,66 +252,58 @@ def _serving_rule(policy: Policy, link: Link) -> str:
     return "nearest"
 
 
-def _far_field_exponent(
-    density: float, power: float, s: np.ndarray, outer2: np.ndarray | float
-) -> np.ndarray:
+def _far_field_exponent(density: float, root: np.ndarray, outer2: np.ndarray | float) -> np.ndarray:
     """-log E[exp(-s I_far)] for the Rayleigh-faded PPP field beyond radius R.
 
     At alpha = 4 the Poisson Laplace functional over r > R is
     exp(-lambda pi * integral_{R^2}^inf sP / (sP + t^2) dt), and the
-    integral is sqrt(sP) * arctan(sqrt(sP) / R^2).
+    integral is sqrt(sP) * arctan(sqrt(sP) / R^2); `root` is sqrt(sP).
     """
-    root = np.sqrt(s * power)
     return density * math.pi * root * np.arctan(root / outer2)
 
 
 def _field_exponent(
-    rng: np.random.Generator,
-    density: float,
-    power: float,
-    s: np.ndarray,
-    exclusion2: np.ndarray,
+    rng: np.random.Generator, density: float, gamma: float, exclusion2: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """s * I_near plus the far-field exponent of one interferer field.
+    """-log of one interferer field's success factor, and its interferer count.
 
-    Interferers of a Rayleigh-faded PPP of the given density and power lie
-    beyond the per-trial exclusion radius.  Each trial has its own outer
-    radius R, the larger of _INTERFERER_SPAN typical spacings and 1.5 times
-    its exclusion radius; the interferers between the two radii are sampled
-    with their fades, the field beyond R enters through its exact Laplace
-    functional.  Also returns the number of interferers sampled.  The
-    interferers are drawn trial after trial, so each trial's points are one
-    contiguous segment of the per-interferer arrays: squared radii uniform on
-    [exclusion2, outer2], then the weights P h / r^4, summed over each
-    segment.  A trial that draws no interferer has I_near exactly 0.
+    Interferers of a Rayleigh-faded PPP of the given density lie beyond the
+    per-trial exclusion radius e.  The ones inside the trial's outer radius
+    R, the larger of _INTERFERER_SPAN typical spacings and 1.5 e, are
+    sampled; the field beyond R enters through its Laplace functional.
+    Every field of the sampler has sP = gamma e^4 at alpha = 4 (uplink:
+    e = x; downlink tier j: e^2 = (P_j / P_k)^(1/2) x^2), so an interferer
+    at d = r^2 / e^2 has the fade-averaged factor E exp(-s P h / r^4) =
+    1 / (1 + gamma / d^2).  The interferers are drawn trial after trial,
+    each trial's one contiguous segment: d uniform in r^2 on [1, R^2 / e^2],
+    then the product of 1 + (sqrt(gamma) / d)^2, which no d overflows, over
+    each segment.  A trial that draws no interferer has the far field alone.
     """
     spans2 = _INTERFERER_SPAN * _INTERFERER_SPAN / (math.pi * density)
     outer2 = np.maximum(spans2, 2.25 * exclusion2)
     width = outer2 - exclusion2
     counts = rng.poisson(density * math.pi * width)
     total = int(counts.sum())
-    r2 = rng.random(total)
-    r2 *= np.repeat(width, counts)
-    r2 += np.repeat(exclusion2, counts)
-    weights = rng.standard_exponential(total)
-    weights *= power
-    r2 *= r2
-    weights /= r2
-    # reduceat sums from one start to the next, so only nonempty segments
-    # may be given: an empty one would yield its next point, not 0.
+    d = rng.random(total)
+    d *= np.repeat(width / exclusion2, counts)
+    d += 1.0
+    root_gamma = math.sqrt(gamma)
+    np.divide(root_gamma, d, out=d)
+    d *= d
+    d += 1.0
+    # reduceat multiplies from one start to the next, so only nonempty
+    # segments may be given: an empty one would yield its next point, not 1.
     drew = counts > 0
-    near = np.zeros(s.size)
-    near[drew] = np.add.reduceat(weights, (np.cumsum(counts) - counts)[drew])
-    exponent = s * near + _far_field_exponent(density, power, s, outer2)
+    near = np.ones(exclusion2.size)
+    with np.errstate(over="ignore"):  # a product past the largest double: success 0
+        near[drew] = np.multiply.reduceat(d, (np.cumsum(counts) - counts)[drew])
+    exponent = np.log(near, out=near)
+    exponent += _far_field_exponent(density, root_gamma * exclusion2, outer2)
     return exponent, total
 
 
 def _downlink_exponent(
-    rng: np.random.Generator,
-    params: ScenarioParams,
-    serving: Tier,
-    x2: np.ndarray,
-    s: np.ndarray,
+    rng: np.random.Generator, params: ScenarioParams, serving: Tier, x2: np.ndarray, gamma: float
 ) -> tuple[np.ndarray, int]:
     """Interference exponent at the user from every non-serving BS.
 
@@ -326,9 +320,7 @@ def _downlink_exponent(
         if tier_p.density == 0.0:
             continue
         exclusion2 = (tier_p.tx_power / p_serving) ** (2.0 / alpha) * x2
-        tier_exponent, tier_sampled = _field_exponent(
-            rng, tier_p.density, tier_p.tx_power, s, exclusion2
-        )
+        tier_exponent, tier_sampled = _field_exponent(rng, tier_p.density, gamma, exclusion2)
         exponent += tier_exponent
         sampled += tier_sampled
     return exponent, sampled
@@ -359,17 +351,19 @@ def _serving_slope(params: ScenarioParams, rule: str, tier: Tier) -> float:
     return own.density + other.density * beta2
 
 
-def _coverage_law(policy: Policy, link: Link, tier: Tier) -> tuple[str, Link, Tier | None]:
-    """What the coverage batches of (policy, link, tier) depend on, besides
-    the scenario, gamma, trials and seed: the serving rule, the link, and the
-    serving tier unless the rule is the nearest one.  Under it (the
+def _coverage_law(policy: Policy, link: Link, tier: Tier) -> int:
+    """The code of what the coverage batches of (policy, link, tier) depend
+    on, besides the scenario, gamma, trials and seed, which keys their
+    streams: 0 for the nearest serving rule, else 1 + 2 * (link is DL) +
+    (tier is small) under the max-power rule.  Under the nearest rule (the
     decoupled uplink) neither the serving-distance law
     x^2 ~ Exp(pi (lambda_m + lambda_s)), nor the interferer field of density
     lambda_m + lambda_s outside the serving disc, nor the user's power names
     a tier, so both tiers draw equal batches from one seed.
     """
-    rule = _serving_rule(policy, link)
-    return rule, link, None if rule == "nearest" else tier
+    if _serving_rule(policy, link) == "nearest":
+        return 0
+    return 1 + 2 * (link is Link.DL) + (tier is Tier.SMALL)
 
 
 def empirical_coverage(
@@ -388,9 +382,13 @@ def empirical_coverage(
     exponential per trial.  Given x, each interferer field is a PPP outside
     its exclusion disc, which is all the UL and DL fields use, so the trial
     is exact without conditioning by rejection.  Each trial contributes its
-    conditional success probability exp(-s (N + I_near)) * L_far with
-    s = gamma x^4 / P_tx, so the serving fade is averaged out exactly, and
-    the standard error is the sample standard deviation over sqrt(trials).
+    success probability given the point process,
+    exp(-s N) * prod_j 1 / (1 + gamma / d_j^2) * L_far with
+    s = gamma x^4 / P_tx and d_j = r_j^2 / e^2 (_field_exponent), so the
+    serving and the interferers' fades are averaged out exactly, and the
+    standard error is the sample standard deviation over sqrt(trials).
+    Batch i draws from the generator keyed by (seed, law code, i), the code
+    of _coverage_law.
     """
     return _run_jobs([_coverage_job(params, policy, link, tier, gamma, trials, seed)])[0]
 
@@ -412,24 +410,25 @@ def _coverage_job(
     if tier_params(params, tier).density == 0.0:
         raise ValueError(f"tier {tier.value} has zero density; coverage is undefined")
     rate = math.pi * _serving_slope(params, _serving_rule(policy, link), tier)
+    law = _coverage_law(policy, link, tier)
     if link is Link.UL:
         tx_power = params.user_tx_power
     else:
         tx_power = tier_params(params, tier).tx_power
 
     def batch(index: int) -> tuple[np.ndarray, int]:
-        rng = _rng(seed, _TAG_COVERAGE, index)
+        rng = _rng(seed, _TAG_COVERAGE, law, index)
         x2 = rng.standard_exponential(min(_BATCH, trials - index * _BATCH))
         x2 /= rate
-        s = gamma * x2 * x2 / tx_power
         if link is Link.UL:
             # Active-uplink users interfere from outside the disc of radius x
             # around the receiving BS.
             lam = params.macro.density + params.small.density
-            exponent, sampled = _field_exponent(rng, lam, tx_power, s, x2)
+            exponent, sampled = _field_exponent(rng, lam, gamma, x2)
         else:
-            exponent, sampled = _downlink_exponent(rng, params, tier, x2, s)
-        return np.exp(-(s * params.noise_power + exponent)), sampled
+            exponent, sampled = _downlink_exponent(rng, params, tier, x2, gamma)
+        exponent += gamma * params.noise_power / tx_power * x2 * x2
+        return np.exp(-exponent), sampled
 
     def reduce(batches: list) -> CoverageEstimate:
         v = np.concatenate([values for values, _ in batches])

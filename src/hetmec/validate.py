@@ -84,7 +84,7 @@ def run_validation(params: ScenarioParams, trials: int, seed: int = 0) -> Valida
     per-cell loads take max(160, trials // 400) realizations.  All of the
     sampler's work is one montecarlo._run_jobs call: the load stage first,
     as its one task is the longest, then the association and coverage
-    batches around it, which keeps the full run to about 0.4 s at
+    batches around it, which keeps the full run to about 0.2 s at
     trials = 1e5 on a 2-vCPU host.  Every estimate is the one its own
     empirical_* or _load_estimates call gives at the same seed.
     """
@@ -126,7 +126,7 @@ def run_validation(params: ScenarioParams, trials: int, seed: int = 0) -> Valida
                 law = mc_mod._coverage_law(policy, link, tier)
                 if law not in coverage_jobs:
                     coverage_jobs[law] = mc_mod._coverage_job(
-                        params, policy, link, tier, gamma, trials, seed + 10 + len(coverage_jobs)
+                        params, policy, link, tier, gamma, trials, seed
                     )
                     first_row[law] = name
                 coverage_rows.append((name, analytic, scaled_note, law))
@@ -205,8 +205,9 @@ def validation_csv(report: ValidationReport, params: ScenarioParams) -> str:
         "# active-uplink interferer field; agreement validates the implementation,",
         "# not the physical exactness of that approximation",
         f"# numpy = {np.__version__}",
-        "# coverage estimator = conditional success probability per trial"
-        " (serving fade averaged); serving distance drawn from its law given the"
+        "# coverage estimator = conditional success probability per trial given"
+        " the point process (serving and interferer fades averaged); serving"
+        " distance drawn from its law given the"
         " serving tier; interferers sampled out to a per-trial outer radius,"
         f" the larger of {mc_mod._INTERFERER_SPAN:g} typical spacings and 1.5 x the"
         " trial's exclusion radius, the field beyond by its Laplace functional",

@@ -9,10 +9,11 @@ it, the unpruned load sampler builds the probe lattice trial by trial and
 answers every nearest-BS query that the library's sampler may skip, the
 user-process load sampler counts Poisson users instead of lattice probes,
 the own-tier load window is a wider user disc that sizes each tier's
-reach by its own void alone, the indexed field exponent sums each
-interferer into its trial through an explicit per-interferer trial index,
-and the serial coverage sampler runs the coverage batches one after
-another in the calling thread.
+reach by its own void alone, the indexed field exponent multiplies each
+interferer's factor into its trial through an explicit per-interferer trial
+index, the explicit-fade field draws the interferers' fades that the
+sampler averages out, and the serial coverage sampler runs the coverage
+batches one after another in the calling thread.
 """
 import math
 
@@ -37,6 +38,7 @@ from hetmec.montecarlo import (
     _TAG_LOAD,
     CoverageEstimate,
     McEstimate,
+    _coverage_law,
     _downlink_exponent,
     _far_field_exponent,
     _field_exponent,
@@ -92,13 +94,38 @@ def dl_coverage_interference_limited(gamma_dl: float) -> float:
     return 1.0 / (1.0 + psi(gamma_dl))
 
 
-def indexed_field_exponent(rng, density, power, s, exclusion2):
-    """`montecarlo._field_exponent` summed through a per-interferer trial index.
+def indexed_field_exponent(rng, density, gamma, exclusion2):
+    """`montecarlo._field_exponent` multiplied through a per-interferer trial index.
 
-    The same draws in the same order: Poisson counts, then uniform squared
-    radii, then the fades.  Each interferer's trial is looked up by index and
-    its weight added to that trial with bincount.  The span is read from the
-    library's module at call time, so a test that patches it moves both.
+    The same draws in the same order: Poisson counts, then one uniform per
+    interferer for its d = r^2 / e^2.  Each interferer's trial is looked up
+    by index and its factor 1 + gamma / d^2 multiplied into that trial with
+    `np.multiply.at`.  The span is read from the library's module at call
+    time, so a test that patches it moves both.
+    """
+    span = montecarlo._INTERFERER_SPAN
+    spans2 = span * span / (math.pi * density)
+    outer2 = np.maximum(spans2, 2.25 * exclusion2)
+    width = outer2 - exclusion2
+    counts = rng.poisson(density * math.pi * width)
+    trial_of = np.repeat(np.arange(exclusion2.size), counts)
+    d = 1.0 + rng.random(trial_of.size) * (width / exclusion2)[trial_of]
+    near = np.ones(exclusion2.size)
+    np.multiply.at(near, trial_of, 1.0 + (math.sqrt(gamma) / d) ** 2)
+    exponent = np.log(near) + _far_field_exponent(density, math.sqrt(gamma) * exclusion2, outer2)
+    return exponent, int(trial_of.size)
+
+
+def explicit_fade_field_exponents(rng, density, power, s, exclusion2, fades):
+    """s * I_near plus the far-field exponent of one field, fades drawn.
+
+    The interferer field as the sampler drew it before its fades were
+    averaged out: the Poisson counts and one uniform squared radius per
+    interferer, in `montecarlo._field_exponent`'s order, so one generator
+    state gives both the same interferers; then `fades` rounds of one
+    exponential fade per interferer, the weights P h / r^4 summed into
+    their trials.  Returns the exponents, one row per round, and the
+    number of interferers.
     """
     span = montecarlo._INTERFERER_SPAN
     spans2 = span * span / (math.pi * density)
@@ -106,16 +133,13 @@ def indexed_field_exponent(rng, density, power, s, exclusion2):
     width = outer2 - exclusion2
     counts = rng.poisson(density * math.pi * width)
     trial_of = np.repeat(np.arange(s.size), counts)
-    r2 = rng.random(trial_of.size)
-    r2 *= width[trial_of]
-    r2 += exclusion2[trial_of]
-    weights = rng.standard_exponential(trial_of.size)
-    weights *= power
-    r2 *= r2
-    weights /= r2
-    near = np.bincount(trial_of, weights=weights, minlength=s.size)
-    exponent = s * near + _far_field_exponent(density, power, s, outer2)
-    return exponent, int(trial_of.size)
+    r2 = exclusion2[trial_of] + rng.random(trial_of.size) * width[trial_of]
+    far = _far_field_exponent(density, np.sqrt(s * power), outer2)
+    exponents = np.empty((fades, s.size))
+    for row in exponents:
+        weights = power * rng.standard_exponential(trial_of.size) / (r2 * r2)
+        row[:] = s * np.bincount(trial_of, weights=weights, minlength=s.size) + far
+    return exponents, int(trial_of.size)
 
 
 def serial_coverage(
@@ -135,21 +159,22 @@ def serial_coverage(
     """
     rate = math.pi * _serving_slope(params, _serving_rule(policy, link), tier)
     tx_power = params.user_tx_power if link is Link.UL else tier_params(params, tier).tx_power
+    law = _coverage_law(policy, link, tier)
     values = []
     done = interferers = 0
     batch_index = 0
     while done < trials:
         n = min(_BATCH, trials - done)
-        rng = _rng(seed, _TAG_COVERAGE, batch_index)
+        rng = _rng(seed, _TAG_COVERAGE, law, batch_index)
         x2 = rng.standard_exponential(n)
         x2 /= rate
-        s = gamma * x2 * x2 / tx_power
         if link is Link.UL:
             lam = params.macro.density + params.small.density
-            exponent, sampled = _field_exponent(rng, lam, tx_power, s, x2)
+            exponent, sampled = _field_exponent(rng, lam, gamma, x2)
         else:
-            exponent, sampled = _downlink_exponent(rng, params, tier, x2, s)
-        values.append(np.exp(-(s * params.noise_power + exponent)))
+            exponent, sampled = _downlink_exponent(rng, params, tier, x2, gamma)
+        exponent += gamma * params.noise_power / tx_power * x2 * x2
+        values.append(np.exp(-exponent))
         done += n
         interferers += sampled
         batch_index += 1
@@ -171,13 +196,14 @@ def rejection_coverage(
     """
     rule = _serving_rule(policy, link)
     tx_power = params.user_tx_power if link is Link.UL else tier_params(params, tier).tx_power
+    law = _coverage_law(policy, link, tier)
     values, distances = [], []
     accepted = drawn = 0
     batch_index = 0
     while accepted < trials:
         if batch_index > 4096:
             raise RuntimeError(f"association almost never lands on tier {tier.value}")
-        rng = _rng(seed, _TAG_COVERAGE, batch_index)
+        rng = _rng(seed, _TAG_COVERAGE, law, batch_index)
         batch_index += 1
         d_m = _nearest_distances(rng, params.macro.density, _BATCH)
         d_s = _nearest_distances(rng, params.small.density, _BATCH)
@@ -192,13 +218,12 @@ def rejection_coverage(
             continue
         x = (d_s if tier is Tier.SMALL else d_m)[picked]
         x2 = x * x
-        s = gamma * x2 * x2 / tx_power
         if link is Link.UL:
             lam = params.macro.density + params.small.density
-            exponent, _ = _field_exponent(rng, lam, tx_power, s, x2)
+            exponent, _ = _field_exponent(rng, lam, gamma, x2)
         else:
-            exponent, _ = _downlink_exponent(rng, params, tier, x2, s)
-        values.append(np.exp(-(s * params.noise_power + exponent)))
+            exponent, _ = _downlink_exponent(rng, params, tier, x2, gamma)
+        values.append(np.exp(-(gamma * params.noise_power / tx_power * x2 * x2 + exponent)))
         distances.append(x)
         accepted += x.size
     v = np.concatenate(values)

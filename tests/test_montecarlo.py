@@ -42,6 +42,7 @@ from hetmec.montecarlo import (
     empirical_coverage,
 )
 from oracles import (
+    explicit_fade_field_exponents,
     indexed_field_exponent,
     own_tier_load_regions,
     rejection_coverage,
@@ -203,7 +204,7 @@ def test_far_field_exponent_matches_quadrature_oracle(field):
     s = np.array([1e-30, 1e-12, 1e-3, 1.0, 1e3, 1e8, 1e11, 1e20, 1e40])
     for scale in (1.0, 2.0, 0.5):
         outer2 = (scale * outer) ** 2
-        got = _far_field_exponent(density, power, s, outer2)
+        got = _far_field_exponent(density, np.sqrt(s * power), outer2)
         for s_value, value in zip(s, got):
             expected = _far_field_oracle(density, power, float(s_value), outer2)
             assert value == pytest.approx(expected, rel=1e-9), (s_value, scale)
@@ -258,9 +259,9 @@ def test_serving_distances_match_rejection_sampler(config, policy, tier, monkeyp
     field_exponent = hetmec.montecarlo._field_exponent
     exclusions = []
 
-    def spy(rng, density, power, s, exclusion2):
+    def spy(rng, density, gamma, exclusion2):
         exclusions.append(exclusion2.copy())
-        return field_exponent(rng, density, power, s, exclusion2)
+        return field_exponent(rng, density, gamma, exclusion2)
 
     monkeypatch.setattr(hetmec.montecarlo, "_field_exponent", spy)
     est = empirical_coverage(params, policy, Link.UL, tier, gamma, n, seed=51)
@@ -290,8 +291,9 @@ FIELDS = {
 
 
 def _field_inputs(params, field, n, seed):
-    # (density, power, s, exclusion2) of one batch as empirical_coverage
-    # builds them, with serving distances from the max-power law.
+    # (density, power, gamma, s, exclusion2) of one batch as
+    # empirical_coverage builds them, with serving distances from the
+    # max-power law.
     interfering, serving = FIELDS[field]
     rng = _rng(seed, 0)
     x2 = rng.standard_exponential(n) / (math.pi * _serving_slope(params, "power", serving))
@@ -306,23 +308,23 @@ def _field_inputs(params, field, n, seed):
         gamma = params.dl_sinr_threshold
         exclusion2 = (power / tx_power) ** (2.0 / params.pathloss_exponent) * x2
     s = gamma * x2 * x2 / tx_power
-    return density, power, s, exclusion2
+    return density, power, gamma, s, exclusion2
 
 
 @pytest.mark.parametrize("span", [2.5, 5.0, 10.0])
 @pytest.mark.parametrize("field", list(FIELDS))
 @pytest.mark.parametrize("config", list(SERVING_LAW_CONFIGS))
 def test_segment_sums_match_indexed_field_exponent(config, field, span, monkeypatch):
-    # Summing each trial's contiguous segment of interferers moves only the
-    # rounding of the sums: the draws, hence the counts and the generator
-    # state after the call, are those of the per-interferer trial index.
-    # Both read the patched span.
+    # Multiplying each trial's contiguous segment of interferer factors
+    # moves at most the rounding of the products: the draws, hence the
+    # counts and the generator state after the call, are those of the
+    # per-interferer trial index.  Both read the patched span.
     monkeypatch.setattr(hetmec.montecarlo, "_INTERFERER_SPAN", span)
     params = params_from_raw(SERVING_LAW_CONFIGS[config])
-    density, power, s, exclusion2 = _field_inputs(params, field, _BATCH, seed=61)
+    density, _, gamma, _, exclusion2 = _field_inputs(params, field, _BATCH, seed=61)
     rng, reference = _rng(61, 1), _rng(61, 1)
-    got, sampled = _field_exponent(rng, density, power, s, exclusion2)
-    expected, expected_sampled = indexed_field_exponent(reference, density, power, s, exclusion2)
+    got, sampled = _field_exponent(rng, density, gamma, exclusion2)
+    expected, expected_sampled = indexed_field_exponent(reference, density, gamma, exclusion2)
     assert sampled == expected_sampled > 0
     assert rng.bit_generator.state == reference.bit_generator.state
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
@@ -335,33 +337,92 @@ def test_trials_without_interferers_keep_the_far_field_exactly(monkeypatch):
     # the span alone.  Such trials lie first, last and scattered among
     # trials that draw.
     density = DEFAULTS.macro.density + DEFAULTS.small.density
-    power = DEFAULTS.user_tx_power
+    gamma = 1e-3
     n = 2_000
 
     def inputs(span):
         monkeypatch.setattr(hetmec.montecarlo, "_INTERFERER_SPAN", span)
         spans2 = span * span / (math.pi * density)
         exclusion2 = spans2 * _rng(62, 0).uniform(0.0, 0.4, n)
-        s = 1e-3 * exclusion2 * exclusion2 / power
-        return s, exclusion2, np.maximum(spans2, 2.25 * exclusion2)
+        outer2 = np.maximum(spans2, 2.25 * exclusion2)
+        far = _far_field_exponent(density, math.sqrt(gamma) * exclusion2, outer2)
+        return exclusion2, outer2, far
 
-    s, exclusion2, outer2 = inputs(0.5)
+    exclusion2, outer2, far = inputs(0.5)
     # The counts are the first draw of the generator.
     empty = _rng(62, 1).poisson(density * math.pi * (outer2 - exclusion2)) == 0
     assert empty[0] and empty[-1] and 0 < np.count_nonzero(empty) < n
     rng, reference = _rng(62, 1), _rng(62, 1)
-    got, sampled = _field_exponent(rng, density, power, s, exclusion2)
-    expected, expected_sampled = indexed_field_exponent(reference, density, power, s, exclusion2)
+    got, sampled = _field_exponent(rng, density, gamma, exclusion2)
+    expected, expected_sampled = indexed_field_exponent(reference, density, gamma, exclusion2)
     assert sampled == expected_sampled > 0
-    far = _far_field_exponent(density, power, s, outer2)
     assert np.array_equal(got[empty], far[empty])
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
     # A batch in which no trial draws an interferer: at a span of 1e-3
     # spacings each trial expects at most 1e-6 of them.
-    s, exclusion2, outer2 = inputs(1e-3)
-    got, sampled = _field_exponent(_rng(62, 2), density, power, s, exclusion2)
+    exclusion2, outer2, far = inputs(1e-3)
+    got, sampled = _field_exponent(_rng(62, 2), density, gamma, exclusion2)
     assert sampled == 0
-    assert np.array_equal(got, _far_field_exponent(density, power, s, outer2))
+    assert np.array_equal(got, far)
+
+
+@pytest.mark.parametrize("field", list(FIELDS))
+@pytest.mark.parametrize("config", list(SERVING_LAW_CONFIGS))
+def test_averaged_fades_match_explicit_fades(config, field):
+    # Rao-Blackwell step: given the interferer positions, a trial's value is
+    # the mean over the interferers' exponential fades of the faded
+    # exp(-s I_near) * L_far.  One generator state gives both samplers the
+    # same counts and radii; the reference then draws 400 fades per
+    # interferer.  The pooled z of the per-trial means against the
+    # averaged values is held to 4, a bound fixed before the first run.
+    params = params_from_raw(SERVING_LAW_CONFIGS[config])
+    density, power, gamma, s, exclusion2 = _field_inputs(params, field, 512, seed=63)
+    averaged, sampled = _field_exponent(_rng(63, 1), density, gamma, exclusion2)
+    faded, faded_sampled = explicit_fade_field_exponents(
+        _rng(63, 1), density, power, s, exclusion2, fades=400
+    )
+    assert sampled == faded_sampled > 0
+    values = np.exp(-faded)
+    delta = float(np.sum(values.mean(axis=0) - np.exp(-averaged)))
+    z = delta / math.sqrt(float(np.sum(values.var(axis=0, ddof=1))) / values.shape[0])
+    assert abs(z) < 4.0, z
+
+
+def test_extreme_geometry_gives_probabilities(monkeypatch):
+    # Exclusion radii from 1e-150 to 100 typical spans put d = r^2 / e^2
+    # anywhere in [1, 1e300], and a 3000 dB tier gap puts the downlink
+    # exclusion radii 1e+-150 times the serving distance.  No value
+    # overflows, divides by zero or turns invalid, and every success
+    # probability lies in [0, 1].  A term that underflows rounds towards 0,
+    # which moves no probability, so underflow keeps numpy's default.
+    def raising():
+        return np.errstate(over="raise", divide="raise", invalid="raise")
+
+    density = DEFAULTS.macro.density + DEFAULTS.small.density
+    spans2 = _INTERFERER_SPAN * _INTERFERER_SPAN / (math.pi * density)
+    exclusion2 = spans2 * np.repeat(10.0 ** np.arange(-300.0, 5.0, 2.0), 3)
+    for gamma in (1e-9, 0.1, 1e3):
+        with raising():
+            exponent, sampled = _field_exponent(_rng(64, 1), density, gamma, exclusion2)
+            values = np.exp(-exponent)
+        assert sampled > 0 and np.all(exponent >= 0.0), gamma
+        assert np.all((values >= 0.0) & (values <= 1.0)), gamma
+    # At a span of 1e-3 spacings, and exclusion radii within it, no trial
+    # draws an interferer.
+    monkeypatch.setattr(hetmec.montecarlo, "_INTERFERER_SPAN", 1e-3)
+    with raising():
+        exponent, sampled = _field_exponent(
+            _rng(64, 2), density, 0.1, exclusion2[exclusion2 < 1e-10 * spans2]
+        )
+    assert sampled == 0 and np.all(np.isfinite(exponent)) and np.all(exponent >= 0.0)
+    monkeypatch.undo()
+    params = params_from_raw({"p_m_dbm": 1500.0, "p_s_dbm": -1500.0})
+    for policy, link, tier in ALL_COMBINATIONS:
+        gamma = params.ul_sinr_threshold if link is Link.UL else params.dl_sinr_threshold
+        job = hetmec.montecarlo._coverage_job(params, policy, link, tier, gamma, 2_000, 65)
+        with raising():
+            values, sampled = job.batch(0)
+        assert sampled > 0 and np.all((values >= 0.0) & (values <= 1.0)), (policy, link, tier)
 
 
 def test_window_doubling_changes_estimate_within_noise(monkeypatch):
@@ -403,10 +464,10 @@ def test_failing_batch_reraises_and_pool_recovers(cpus, monkeypatch):
     args = (DEFAULTS, Policy.DECOUPLED, Link.UL, Tier.SMALL, gamma, trials)
     field_exponent = hetmec.montecarlo._field_exponent
 
-    def failing(rng, density, power, s, exclusion2):
-        if s.size == 17:
+    def failing(rng, density, gamma, exclusion2):
+        if exclusion2.size == 17:
             raise RuntimeError("batch 3")
-        return field_exponent(rng, density, power, s, exclusion2)
+        return field_exponent(rng, density, gamma, exclusion2)
 
     monkeypatch.setattr(hetmec.montecarlo, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(hetmec.montecarlo, "_field_exponent", failing)
@@ -553,8 +614,8 @@ def test_batch_that_runs_jobs_gets_its_own_pool():
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_runs_coverage_on_its_own_threads():
-    # A forked child inherits the parent's executor but none of its threads;
-    # it must build its own rather than wait on threads that do not exist.
+    # A forked child inherits none of the parent's threads; its coverage
+    # batches run on a pool of its own and give the parent's estimate.
     out = _run_fresh(
         """
         import os, signal

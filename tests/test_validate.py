@@ -5,6 +5,7 @@ from one montecarlo._run_jobs call.  These tests hold each row to the
 estimate its standalone sampler call gives, across thread counts and
 through a failing batch.
 """
+import numpy as np
 import pytest
 
 import hetmec.montecarlo
@@ -49,25 +50,17 @@ def test_each_row_is_its_standalone_estimate():
         ("load_dec_dl_macro", "power", Tier.MACRO),
     ]:
         expected[name] = loads[rule][tier]
-    # Seeds go to the distinct laws in row order from seed + 10; the
-    # decoupled DL rows reuse the coupled ones and the decoupled small UL
-    # row the decoupled macro one, so their standalone calls at the
-    # reused seed give the same estimate.
-    ul, dl = DEFAULTS.ul_sinr_threshold, DEFAULTS.dl_sinr_threshold
-    for policy, link, tier, gamma, offset in [
-        (Policy.COUPLED, Link.UL, Tier.MACRO, ul, 10),
-        (Policy.COUPLED, Link.UL, Tier.SMALL, ul, 11),
-        (Policy.COUPLED, Link.DL, Tier.MACRO, dl, 12),
-        (Policy.COUPLED, Link.DL, Tier.SMALL, dl, 13),
-        (Policy.DECOUPLED, Link.UL, Tier.MACRO, ul, 14),
-        (Policy.DECOUPLED, Link.UL, Tier.SMALL, ul, 14),
-        (Policy.DECOUPLED, Link.DL, Tier.MACRO, dl, 12),
-        (Policy.DECOUPLED, Link.DL, Tier.SMALL, dl, 13),
-    ]:
-        name = f"coverage_{link.value}_{policy.value}_{tier.value}"
-        expected[name] = empirical_coverage(
-            DEFAULTS, policy, link, tier, gamma, TRIALS, seed=seed + offset
-        )
+    # Every coverage law draws at the run's seed, its streams keyed by the
+    # law; the decoupled DL rows share the coupled ones' law and the
+    # decoupled small UL row the decoupled macro one's.
+    for policy in Policy:
+        for link in Link:
+            gamma = DEFAULTS.ul_sinr_threshold if link is Link.UL else DEFAULTS.dl_sinr_threshold
+            for tier in Tier:
+                name = f"coverage_{link.value}_{policy.value}_{tier.value}"
+                expected[name] = empirical_coverage(
+                    DEFAULTS, policy, link, tier, gamma, TRIALS, seed
+                )
     got = {row.quantity: (row.empirical, row.std_error) for row in report.rows}
     assert got == {name: (e.mean, e.std_error) for name, e in expected.items()}
     reused = [note for note in report.notes if "same estimate" in note]
@@ -76,6 +69,27 @@ def test_each_row_is_its_standalone_estimate():
         "sampler coverage_dl_decoupled_macro: same estimate as coverage_dl_coupled_macro",
         "sampler coverage_dl_decoupled_small: same estimate as coverage_dl_coupled_small",
     ]
+
+
+def test_adjacent_seeds_share_no_generator_key(monkeypatch):
+    # Every stream is keyed by (seed, operation, [coverage law,] batch), the
+    # loads by seed + 1.  Keys are compared by the state they seed, as
+    # SeedSequence seeds a key and that key with a trailing 0 alike.  Each
+    # run draws 13 streams: 2 association batches, 2 batches of each of 5
+    # coverage laws and the load task.
+    rng = hetmec.montecarlo._rng
+    states = {}
+    for seed in (5, 6):
+        drawn = states[seed] = []
+
+        def spy(*key, drawn=drawn):
+            drawn.append(tuple(np.random.SeedSequence(key).generate_state(4)))
+            return rng(*key)
+
+        monkeypatch.setattr(hetmec.montecarlo, "_rng", spy)
+        run_validation(DEFAULTS, TRIALS, seed)
+    assert len(states[5]) == len(set(states[5])) == 13
+    assert not set(states[5]) & set(states[6])
 
 
 class BatchFailure(Exception):
@@ -88,10 +102,10 @@ def test_failing_coverage_batch_reraises_and_a_later_run_works(cpus, monkeypatch
     expected = run_validation(DEFAULTS, TRIALS, seed=6)
     field_exponent = hetmec.montecarlo._field_exponent
 
-    def failing(rng, density, power, s, exclusion2):
-        if s.size == 17:
+    def failing(rng, density, gamma, exclusion2):
+        if exclusion2.size == 17:
             raise BatchFailure("coverage batch of 17 trials")
-        return field_exponent(rng, density, power, s, exclusion2)
+        return field_exponent(rng, density, gamma, exclusion2)
 
     monkeypatch.setattr(hetmec.montecarlo, "_field_exponent", failing)
     with pytest.raises(BatchFailure) as excinfo:
