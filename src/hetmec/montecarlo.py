@@ -5,13 +5,14 @@ processes for both BS tiers and the users, and max-power or nearest-BS
 association applied to the sampled points; the exponential (Rayleigh-power)
 fading of every link is averaged out exactly.  For the association tallies a
 nearest-BS distance is drawn from one uniform by inverting the void
-probability P(d > r) = exp(-lambda pi r^2).  A coverage trial draws its
-serving distance from its law given the serving tier (_serving_slope); given
-that distance each interferer field is a PPP outside its exclusion disc, so
-no trial is rejected.  No coverage integral is consulted and nothing of the
-analytic modules is called: the sampler computes that law's rate itself, and
-a test holds its draws to a rejection-conditioned reference.  Agreement with
-the analytic modules is therefore evidence of implementation fidelity.
+probability P(d > r) = exp(-lambda pi r^2).  A coverage trial draws from
+the coverage law of its (policy, link, tier) (_coverage_law): its serving
+distance from its law given the serving tier, then, given that distance,
+each interferer field as a PPP outside its exclusion disc, so no trial is
+rejected.  No coverage integral is consulted and nothing of the analytic
+modules is called: the sampler computes the law itself, and a test holds
+its draws to a rejection-conditioned reference.  Agreement with the
+analytic modules is therefore evidence of implementation fidelity.
 
 Coverage is Rao-Blackwellised.  Given the serving distance x and the
 interferer positions, every fade is averaged out exactly: a trial
@@ -34,7 +35,7 @@ with no Poisson count noise.  Every probe's nearest macro BS is looked up,
 its nearest small-cell BS only where that can change a counted cell; the
 skipped lookups cannot change any estimate.
 
-Two modeling conventions are intentionally mirrored from the analytic side
+The law's fields mirror two modeling conventions of the analytic side
 (they are assumptions of the model, not artifacts of this sampler):
 
 * Active uplink interferers form an independent Poisson field with density
@@ -45,8 +46,8 @@ Two modeling conventions are intentionally mirrored from the analytic side
 
 Randomness is keyed: every operation derives its generators from (seed,
 operation tag, batch index) via numpy's SeedSequence, coverage also from its
-law's code (_coverage_law), so results are bit-reproducible for a given
-(params, seed, trials), and validation runs at two seeds share no stream.
+law's code, so results are bit-reproducible for a given (params, seed,
+trials), and validation runs at two seeds share no stream.
 Each estimator is a job: independent batches and their reduction (_Job).
 The batches of any list of jobs run in parallel on the process's CPUs as one
 dispatch (_run_jobs, on a thread pool that lives for that call only), so a
@@ -211,6 +212,8 @@ def _association_job(params: ScenarioParams, trials: int, seed: int) -> _Job:
     """empirical_association as a job."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     def batch(index: int) -> tuple[int, ...]:
         rng = _rng(seed, _TAG_ASSOCIATION, index)
@@ -271,13 +274,13 @@ def _field_exponent(
     per-trial exclusion radius e.  The ones inside the trial's outer radius
     R, the larger of _INTERFERER_SPAN typical spacings and 1.5 e, are
     sampled; the field beyond R enters through its Laplace functional.
-    Every field of the sampler has sP = gamma e^4 at alpha = 4 (uplink:
-    e = x; downlink tier j: e^2 = (P_j / P_k)^(1/2) x^2), so an interferer
-    at d = r^2 / e^2 has the fade-averaged factor E exp(-s P h / r^4) =
-    1 / (1 + gamma / d^2).  The interferers are drawn trial after trial,
-    each trial's one contiguous segment: d uniform in r^2 on [1, R^2 / e^2],
-    then the product of 1 + (sqrt(gamma) / d)^2, which no d overflows, over
-    each segment.  A trial that draws no interferer has the far field alone.
+    Every field of the sampler has sP = gamma e^4 at alpha = 4 (e^2 = factor
+    x^2, _CoverageLaw), so an interferer at d = r^2 / e^2 has the
+    fade-averaged factor E exp(-s P h / r^4) = 1 / (1 + gamma / d^2).  The
+    interferers are drawn trial after trial, each trial's one contiguous
+    segment: d uniform in r^2 on [1, R^2 / e^2], then the product of
+    1 + (sqrt(gamma) / d)^2, which no d overflows, over each segment.  A
+    trial that draws no interferer has the far field alone.
     """
     spans2 = _INTERFERER_SPAN * _INTERFERER_SPAN / (math.pi * density)
     outer2 = np.maximum(spans2, 2.25 * exclusion2)
@@ -300,30 +303,6 @@ def _field_exponent(
     exponent = np.log(near, out=near)
     exponent += _far_field_exponent(density, root_gamma * exclusion2, outer2)
     return exponent, total
-
-
-def _downlink_exponent(
-    rng: np.random.Generator, params: ScenarioParams, serving: Tier, x2: np.ndarray, gamma: float
-) -> tuple[np.ndarray, int]:
-    """Interference exponent at the user from every non-serving BS.
-
-    Max-power association to the serving tier at squared distance x2 keeps
-    every tier-j BS beyond squared distance (P_j / P_serving)**(2/alpha) * x2.
-    Also returns the number of interferers sampled.
-    """
-    alpha = params.pathloss_exponent
-    p_serving = tier_params(params, serving).tx_power
-    exponent = np.zeros(x2.size)
-    sampled = 0
-    for tier in (Tier.MACRO, Tier.SMALL):
-        tier_p = tier_params(params, tier)
-        if tier_p.density == 0.0:
-            continue
-        exclusion2 = (tier_p.tx_power / p_serving) ** (2.0 / alpha) * x2
-        tier_exponent, tier_sampled = _field_exponent(rng, tier_p.density, gamma, exclusion2)
-        exponent += tier_exponent
-        sampled += tier_sampled
-    return exponent, sampled
 
 
 @dataclass(frozen=True)
@@ -351,19 +330,60 @@ def _serving_slope(params: ScenarioParams, rule: str, tier: Tier) -> float:
     return own.density + other.density * beta2
 
 
-def _coverage_law(policy: Policy, link: Link, tier: Tier) -> int:
-    """The code of what the coverage batches of (policy, link, tier) depend
-    on, besides the scenario, gamma, trials and seed, which keys their
-    streams: 0 for the nearest serving rule, else 1 + 2 * (link is DL) +
-    (tier is small) under the max-power rule.  Under the nearest rule (the
-    decoupled uplink) neither the serving-distance law
-    x^2 ~ Exp(pi (lambda_m + lambda_s)), nor the interferer field of density
-    lambda_m + lambda_s outside the serving disc, nor the user's power names
-    a tier, so both tiers draw equal batches from one seed.
-    """
-    if _serving_rule(policy, link) == "nearest":
-        return 0
-    return 1 + 2 * (link is Link.DL) + (tier is Tier.SMALL)
+@dataclass(frozen=True)
+class _CoverageLaw:
+    """What the coverage batches of one (policy, link, tier) draw from,
+    besides gamma, trials and seed: `code` keys their streams, x^2 ~
+    Exp(rate) is the squared serving distance, `tx_power` the serving
+    transmitter's power, and each field (density, factor) a PPP beyond
+    squared distance factor * x^2."""
+
+    code: int
+    rate: float
+    tx_power: float
+    fields: tuple[tuple[float, float], ...]
+
+
+def _coverage_law(params: ScenarioParams, policy: Policy, link: Link, tier: Tier) -> _CoverageLaw:
+    """The coverage law of (policy, link, tier).  The uplink field is the
+    module docstring's, with factor 1; max-power association to tier k
+    keeps each tier j beyond (P_j / P_k)^(2/alpha) x^2, one downlink field
+    per tier of positive density, macro first.  Nothing in the nearest
+    rule's law (code 0, the decoupled uplink) names a tier."""
+    rule = _serving_rule(policy, link)
+    rate = math.pi * _serving_slope(params, rule, tier)
+    if link is Link.UL:
+        tx_power = params.user_tx_power
+        fields = ((params.macro.density + params.small.density, 1.0),)
+    else:
+        tx_power = tier_params(params, tier).tx_power
+        fields = tuple(
+            (other.density, (other.tx_power / tx_power) ** (2.0 / params.pathloss_exponent))
+            for other in (params.macro, params.small)
+            if other.density > 0.0
+        )
+    code = 0 if rule == "nearest" else 1 + 2 * (link is Link.DL) + (tier is Tier.SMALL)
+    return _CoverageLaw(code, rate, tx_power, fields)
+
+
+def _coverage_values(
+    rng: np.random.Generator,
+    params: ScenarioParams,
+    law: _CoverageLaw,
+    gamma: float,
+    x2: np.ndarray,
+) -> tuple[np.ndarray, int]:
+    """Each trial's success probability given x2 and its interferers, and
+    the interferer count: the law's field exponents summed in order, plus
+    the noise term gamma N / P_tx * x^4."""
+    exponent = np.zeros(x2.size)
+    sampled = 0
+    for density, factor in law.fields:
+        field_exponent, field_sampled = _field_exponent(rng, density, gamma, factor * x2)
+        exponent += field_exponent
+        sampled += field_sampled
+    exponent += gamma * params.noise_power / law.tx_power * x2 * x2
+    return np.exp(-exponent), sampled
 
 
 def empirical_coverage(
@@ -377,18 +397,15 @@ def empirical_coverage(
 ) -> CoverageEstimate:
     """Empirical SINR coverage for one (policy, link, tier) combination.
 
-    Every trial is served by `tier`: its squared serving distance is drawn
-    from the conditional law x^2 ~ Exp(pi * _serving_slope), one standard
-    exponential per trial.  Given x, each interferer field is a PPP outside
-    its exclusion disc, which is all the UL and DL fields use, so the trial
-    is exact without conditioning by rejection.  Each trial contributes its
-    success probability given the point process,
-    exp(-s N) * prod_j 1 / (1 + gamma / d_j^2) * L_far with
-    s = gamma x^4 / P_tx and d_j = r_j^2 / e^2 (_field_exponent), so the
-    serving and the interferers' fades are averaged out exactly, and the
-    standard error is the sample standard deviation over sqrt(trials).
-    Batch i draws from the generator keyed by (seed, law code, i), the code
-    of _coverage_law.
+    Every trial is served by `tier` and drawn from the law of (policy,
+    link, tier) (_coverage_law): x^2 ~ Exp(rate), one standard exponential
+    per trial, then its fields, so the trial is exact without conditioning
+    by rejection.  Each trial contributes its success probability given
+    the point process, exp(-s N) * prod_j 1 / (1 + gamma / d_j^2) * L_far
+    with s = gamma x^4 / P_tx and d_j = r_j^2 / e^2 (_coverage_values), so
+    the serving and the interferers' fades are averaged out exactly, and
+    the standard error is the sample standard deviation over sqrt(trials).
+    Batch i draws from the generator keyed by (seed, law code, i).
     """
     return _run_jobs([_coverage_job(params, policy, link, tier, gamma, trials, seed)])[0]
 
@@ -405,30 +422,19 @@ def _coverage_job(
     """empirical_coverage as a job."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if tier_params(params, tier).density == 0.0:
         raise ValueError(f"tier {tier.value} has zero density; coverage is undefined")
-    rate = math.pi * _serving_slope(params, _serving_rule(policy, link), tier)
-    law = _coverage_law(policy, link, tier)
-    if link is Link.UL:
-        tx_power = params.user_tx_power
-    else:
-        tx_power = tier_params(params, tier).tx_power
+    law = _coverage_law(params, policy, link, tier)
 
     def batch(index: int) -> tuple[np.ndarray, int]:
-        rng = _rng(seed, _TAG_COVERAGE, law, index)
+        rng = _rng(seed, _TAG_COVERAGE, law.code, index)
         x2 = rng.standard_exponential(min(_BATCH, trials - index * _BATCH))
-        x2 /= rate
-        if link is Link.UL:
-            # Active-uplink users interfere from outside the disc of radius x
-            # around the receiving BS.
-            lam = params.macro.density + params.small.density
-            exponent, sampled = _field_exponent(rng, lam, gamma, x2)
-        else:
-            exponent, sampled = _downlink_exponent(rng, params, tier, x2, gamma)
-        exponent += gamma * params.noise_power / tx_power * x2 * x2
-        return np.exp(-exponent), sampled
+        x2 /= law.rate
+        return _coverage_values(rng, params, law, gamma, x2)
 
     def reduce(batches: list) -> CoverageEstimate:
         v = np.concatenate([values for values, _ in batches])
@@ -590,6 +596,8 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
 
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     geo = _load_regions(params)
     rng = _rng(seed, _TAG_LOAD)
     offsets = np.arange(trials) * geo["spacing"]

@@ -85,8 +85,9 @@ def run_validation(params: ScenarioParams, trials: int, seed: int = 0) -> Valida
     sampler's work is one montecarlo._run_jobs call: the load stage first,
     as its one task is the longest, then the association and coverage
     batches around it, which keeps the full run to about 0.2 s at
-    trials = 1e5 on a 2-vCPU host.  Every estimate is the one its own
-    empirical_* or _load_estimates call gives at the same seed.
+    trials = 1e5 on a 2-vCPU host.  Coverage is drawn once per coverage
+    law, and every estimate is the one its own empirical_* or
+    _load_estimates call gives at the same seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -101,8 +102,8 @@ def run_validation(params: ScenarioParams, trials: int, seed: int = 0) -> Valida
     # So one estimate serves every row of one law, as one load realization
     # serves both rules below.
     coverage_rows = []
-    coverage_jobs: dict[tuple, mc_mod._Job] = {}
-    first_row: dict[tuple, str] = {}  # the row that reports each law's draws
+    coverage_jobs: dict[mc_mod._CoverageLaw, mc_mod._Job] = {}
+    first_row: dict[mc_mod._CoverageLaw, str] = {}  # the row that reports each law's draws
     for policy in (Policy.COUPLED, Policy.DECOUPLED):
         for link in (Link.UL, Link.DL):
             gamma = params.ul_sinr_threshold if link is Link.UL else params.dl_sinr_threshold
@@ -123,7 +124,7 @@ def run_validation(params: ScenarioParams, trials: int, seed: int = 0) -> Valida
                         f"scaled_noise dl coverage {policy.value}/{tier.value}: {scaled:.6f}"
                     )
                 name = f"coverage_{link.value}_{policy.value}_{tier.value}"
-                law = mc_mod._coverage_law(policy, link, tier)
+                law = mc_mod._coverage_law(params, policy, link, tier)
                 if law not in coverage_jobs:
                     coverage_jobs[law] = mc_mod._coverage_job(
                         params, policy, link, tier, gamma, trials, seed

@@ -13,7 +13,10 @@ reach by its own void alone, the indexed field exponent multiplies each
 interferer's factor into its trial through an explicit per-interferer trial
 index, the explicit-fade field draws the interferers' fades that the
 sampler averages out, and the serial coverage sampler runs the coverage
-batches one after another in the calling thread.
+batches one after another in the calling thread.  The two coverage
+references check the dispatch and the serving-distance law; each takes
+its trials' values from the library's coverage law
+(`montecarlo._coverage_values`), which alone spells the interferer fields.
 """
 import math
 
@@ -39,15 +42,13 @@ from hetmec.montecarlo import (
     CoverageEstimate,
     McEstimate,
     _coverage_law,
-    _downlink_exponent,
+    _coverage_values,
     _far_field_exponent,
-    _field_exponent,
     _load_regions,
     _nearest_distances,
     _power_rule_small_wins,
     _rng,
     _serving_rule,
-    _serving_slope,
 )
 
 
@@ -157,24 +158,17 @@ def serial_coverage(
     the values are concatenated and the interferers summed in batch order.
     The library's threaded batches must reproduce it bit for bit.
     """
-    rate = math.pi * _serving_slope(params, _serving_rule(policy, link), tier)
-    tx_power = params.user_tx_power if link is Link.UL else tier_params(params, tier).tx_power
-    law = _coverage_law(policy, link, tier)
+    law = _coverage_law(params, policy, link, tier)
     values = []
     done = interferers = 0
     batch_index = 0
     while done < trials:
         n = min(_BATCH, trials - done)
-        rng = _rng(seed, _TAG_COVERAGE, law, batch_index)
+        rng = _rng(seed, _TAG_COVERAGE, law.code, batch_index)
         x2 = rng.standard_exponential(n)
-        x2 /= rate
-        if link is Link.UL:
-            lam = params.macro.density + params.small.density
-            exponent, sampled = _field_exponent(rng, lam, gamma, x2)
-        else:
-            exponent, sampled = _downlink_exponent(rng, params, tier, x2, gamma)
-        exponent += gamma * params.noise_power / tx_power * x2 * x2
-        values.append(np.exp(-exponent))
+        x2 /= law.rate
+        batch_values, sampled = _coverage_values(rng, params, law, gamma, x2)
+        values.append(batch_values)
         done += n
         interferers += sampled
         batch_index += 1
@@ -189,21 +183,21 @@ def rejection_coverage(
     """Coverage conditioned on the serving tier by rejection.
 
     Each batch draws the nearest macro and small-cell distances of _BATCH
-    trials, keeps the trials the serving rule assigns to `tier` and builds
-    their interferer fields as `montecarlo.empirical_coverage` does.
+    trials, keeps the trials the serving rule assigns to `tier` and takes
+    their values from its coverage law as `montecarlo.empirical_coverage`
+    does.
     Returns (estimate, serving distances of the accepted trials, trials
     drawn up to the last accepted one).
     """
     rule = _serving_rule(policy, link)
-    tx_power = params.user_tx_power if link is Link.UL else tier_params(params, tier).tx_power
-    law = _coverage_law(policy, link, tier)
+    law = _coverage_law(params, policy, link, tier)
     values, distances = [], []
     accepted = drawn = 0
     batch_index = 0
     while accepted < trials:
         if batch_index > 4096:
             raise RuntimeError(f"association almost never lands on tier {tier.value}")
-        rng = _rng(seed, _TAG_COVERAGE, law, batch_index)
+        rng = _rng(seed, _TAG_COVERAGE, law.code, batch_index)
         batch_index += 1
         d_m = _nearest_distances(rng, params.macro.density, _BATCH)
         d_s = _nearest_distances(rng, params.small.density, _BATCH)
@@ -217,13 +211,7 @@ def rejection_coverage(
         if picked.size == 0:
             continue
         x = (d_s if tier is Tier.SMALL else d_m)[picked]
-        x2 = x * x
-        if link is Link.UL:
-            lam = params.macro.density + params.small.density
-            exponent, _ = _field_exponent(rng, lam, gamma, x2)
-        else:
-            exponent, _ = _downlink_exponent(rng, params, tier, x2, gamma)
-        values.append(np.exp(-(gamma * params.noise_power / tx_power * x2 * x2 + exponent)))
+        values.append(_coverage_values(rng, params, law, gamma, x * x)[0])
         distances.append(x)
         accepted += x.size
     v = np.concatenate(values)

@@ -401,6 +401,14 @@ def test_validation_makes_one_load_pass_and_notes_sampler_counts(monkeypatch):
     ), loads_note
 
 
+def test_validate_rejects_a_negative_seed_before_sampling(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(hetmec.montecarlo, "_load_estimates", lambda *args: calls.append(args))
+    assert main(["validate", "--trials", "100000", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert calls == []
+
+
 def test_validate_small_run_passes_with_csv(tmp_path, capsys):
     out = tmp_path / "val.csv"
     code = main(["validate", "--trials", "12000", "--seed", "8", "--out", str(out)])

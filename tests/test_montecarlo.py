@@ -1,3 +1,6 @@
+import ast
+import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -282,33 +285,34 @@ def test_serving_distances_match_rejection_sampler(config, policy, tier, monkeyp
     assert abs(n / drawn - p) < 4.0 * math.sqrt(p * (1.0 - p) / drawn)
 
 
-# Interfering tier (None: the uplink users) and serving tier of each field.
+# Link, serving tier and interfering tier (None: the uplink users) of each
+# field, under the max-power rule.
 FIELDS = {
-    "uplink": (None, Tier.MACRO),
-    "downlink_macro": (Tier.MACRO, Tier.SMALL),
-    "downlink_small": (Tier.SMALL, Tier.MACRO),
+    "uplink": (Link.UL, Tier.MACRO, None),
+    "downlink_macro": (Link.DL, Tier.SMALL, Tier.MACRO),
+    "downlink_small": (Link.DL, Tier.MACRO, Tier.SMALL),
 }
 
 
 def _field_inputs(params, field, n, seed):
-    # (density, power, gamma, s, exclusion2) of one batch as
-    # empirical_coverage builds them, with serving distances from the
-    # max-power law.
-    interfering, serving = FIELDS[field]
+    # (density, power, gamma, s, exclusion2) of one batch: the density and
+    # the exclusion factor from the field's coverage law (whose downlink
+    # fields come macro first), s and the interferers' power from the
+    # scenario, serving distances from the max-power law.
+    link, serving, interfering = FIELDS[field]
+    law = _coverage_law(params, Policy.COUPLED, link, serving)
+    density, factor = law.fields[1 if interfering is Tier.SMALL else 0]
     rng = _rng(seed, 0)
     x2 = rng.standard_exponential(n) / (math.pi * _serving_slope(params, "power", serving))
     if interfering is None:
-        density = params.macro.density + params.small.density
         power = tx_power = params.user_tx_power
-        gamma, exclusion2 = params.ul_sinr_threshold, x2
+        gamma = params.ul_sinr_threshold
     else:
-        density = tier_params(params, interfering).density
         power = tier_params(params, interfering).tx_power
         tx_power = tier_params(params, serving).tx_power
         gamma = params.dl_sinr_threshold
-        exclusion2 = (power / tx_power) ** (2.0 / params.pathloss_exponent) * x2
     s = gamma * x2 * x2 / tx_power
-    return density, power, gamma, s, exclusion2
+    return density, power, gamma, s, factor * x2
 
 
 @pytest.mark.parametrize("span", [2.5, 5.0, 10.0])
@@ -377,6 +381,8 @@ def test_averaged_fades_match_explicit_fades(config, field):
     # averaged values is held to 4, a bound fixed before the first run.
     params = params_from_raw(SERVING_LAW_CONFIGS[config])
     density, power, gamma, s, exclusion2 = _field_inputs(params, field, 512, seed=63)
+    # The law's exclusion factor is the one with sP = gamma e^4 at alpha = 4.
+    np.testing.assert_allclose(s * power, gamma * exclusion2 * exclusion2, rtol=1e-12)
     averaged, sampled = _field_exponent(_rng(63, 1), density, gamma, exclusion2)
     faded, faded_sampled = explicit_fade_field_exponents(
         _rng(63, 1), density, power, s, exclusion2, fades=400
@@ -504,29 +510,76 @@ def test_run_jobs_claims_every_batch_once(monkeypatch):
     assert sorted(calls) == [call for batches in expected for call in batches]
 
 
+# Pairs of (policy, link, tier) whose coverage laws differ in their code
+# alone, per scenario.
+UL = {tier: (Policy.COUPLED, Link.UL, tier) for tier in Tier}
+DL = {tier: (Policy.COUPLED, Link.DL, tier) for tier in Tier}
+NEAREST = (Policy.DECOUPLED, Link.UL, Tier.MACRO)
+
+
 @pytest.mark.parametrize(
-    "raw",
+    "raw, code_apart",
     [
-        {},
-        {"p_s_dbm": 6.0},
-        {"lambda_s_per_km2": 100.0, "lambda_u_per_km2": 250.0},
-        {"noise_dbm": -60.0, "gamma_ul_db": 5.0},
+        ({}, []),
+        ({"p_s_dbm": 6.0}, []),
+        ({"lambda_s_per_km2": 100.0, "lambda_u_per_km2": 250.0}, []),
+        ({"noise_dbm": -60.0, "gamma_ul_db": 5.0}, []),
+        ({"lambda_s_per_km2": 0.0}, [(UL[Tier.MACRO], NEAREST)]),
+        (
+            {"p_m_dbm": 30.0, "p_s_dbm": 30.0},
+            [
+                (UL[Tier.MACRO], NEAREST),
+                (UL[Tier.MACRO], UL[Tier.SMALL]),
+                (DL[Tier.MACRO], DL[Tier.SMALL]),
+            ],
+        ),
     ],
-    ids=["defaults", "p_s_6dbm", "dense_small", "noisy"],
+    ids=["defaults", "p_s_6dbm", "dense_small", "noisy", "single_tier", "equal_powers"],
 )
-def test_nearest_rule_uplink_coverage_names_no_tier(raw):
-    # run_validation draws one estimate for both decoupled UL rows.
+def test_nearest_rule_uplink_coverage_names_no_tier(raw, code_apart):
+    # run_validation draws one estimate per coverage law, so both decoupled
+    # UL rows share one, as do the two policies' DL rows of a tier.  Two
+    # laws are equal exactly when their codes are: laws that differ in
+    # their code alone stay apart.
     params = params_from_raw(raw)
-    args = (params, Policy.DECOUPLED, Link.UL)
-    gamma = params.ul_sinr_threshold
-    macro = empirical_coverage(*args, Tier.MACRO, gamma, 2 * _BATCH + 5, seed=73)
-    assert empirical_coverage(*args, Tier.SMALL, gamma, 2 * _BATCH + 5, seed=73) == macro
-    for policy, link in [
-        (Policy.COUPLED, Link.UL), (Policy.COUPLED, Link.DL),
-        (Policy.DECOUPLED, Link.UL), (Policy.DECOUPLED, Link.DL),
-    ]:
-        same = _coverage_law(policy, link, Tier.MACRO) == _coverage_law(policy, link, Tier.SMALL)
-        assert same == (policy is Policy.DECOUPLED and link is Link.UL)
+    if params.small.density > 0.0:
+        args = (params, Policy.DECOUPLED, Link.UL)
+        gamma = params.ul_sinr_threshold
+        macro = empirical_coverage(*args, Tier.MACRO, gamma, 2 * _BATCH + 5, seed=73)
+        assert empirical_coverage(*args, Tier.SMALL, gamma, 2 * _BATCH + 5, seed=73) == macro
+    laws = {key: _coverage_law(params, *key) for key in ALL_COMBINATIONS}
+    for (key_a, a), (key_b, b) in itertools.product(laws.items(), repeat=2):
+        assert (a == b) == (a.code == b.code), (key_a, key_b)
+        # One rule, and under the max-power rule one link and tier.
+        rule = _serving_rule(*key_a[:2])
+        same = rule == _serving_rule(*key_b[:2]) and (rule == "nearest" or key_a[1:] == key_b[1:])
+        assert (a.code == b.code) == same, (key_a, key_b)
+    for key_a, key_b in code_apart:
+        a, b = laws[key_a], laws[key_b]
+        assert a != b and dataclasses.replace(a, code=b.code) == b, (key_a, key_b)
+
+
+def test_sampler_imports_no_closed_form():
+    # The sampler is an independent oracle: of the package it takes the
+    # scenario, tier_params and the names of policies, links and tiers alone.
+    tree = ast.parse(Path(hetmec.montecarlo.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "hetmec" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("hetmec")):
+            names.update(alias.name for alias in node.names)
+    assert names == {"Link", "Policy", "Tier", "tier_params", "ScenarioParams"}
+
+
+def test_samplers_reject_a_negative_seed():
+    message = "seed must be >= 0, got -1"
+    with pytest.raises(ValueError, match=message):
+        hetmec.montecarlo._association_job(DEFAULTS, 10, -1)
+    with pytest.raises(ValueError, match=message):
+        hetmec.montecarlo._coverage_job(DEFAULTS, Policy.COUPLED, Link.UL, Tier.MACRO, 0.1, 10, -1)
+    with pytest.raises(ValueError, match=message):
+        _load_estimates(DEFAULTS, 10, -1)
 
 
 def _run_fresh(script: str) -> str:
