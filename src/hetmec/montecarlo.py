@@ -27,13 +27,18 @@ exp(-lambda pi sqrt(sP) arctan(sqrt(sP) / R^2)) (Andrews, Baccelli and
 Ganti, IEEE TCOM 2011), so the cut costs variance, not bias.  The standard
 error is the sample standard deviation of the per-trial values.
 
-Per-cell loads come from one realization of BSs, many trials side by side,
-with one KD-tree per BS tier.  The users are counted by probes on a square
-lattice shifted by one uniform offset per trial, each probe standing for
-lambda_u h^2 users of a lattice of spacing h: unbiased for the mean load,
-with no Poisson count noise.  Every probe's nearest macro BS is looked up,
-its nearest small-cell BS only where that can change a counted cell; the
-skipped lookups cannot change any estimate.
+Per-cell loads come from one realization of BSs, many trials side by side.
+The users are counted by probes on a square lattice shifted by one uniform
+offset per trial, each probe standing for lambda_u h^2 users of a lattice
+of spacing h: unbiased for the mean load, with no Poisson count noise.
+Nearest BSs are found by an exact search in square cells of about half a
+BS each, laid about each trial's centre (Bentley, Weide and Yao, ACM TOMS
+1980), which gives the distances and BSs of a KD-tree bit for bit; the
+probes are laid out and searched one block of trials at a time.  Every
+probe's nearest macro BS is looked up, its nearest small-cell BS only
+where that can change a counted cell, and a macro lookup stops early once
+no counted cell can serve the probe; the skipped work cannot change any
+estimate.
 
 The law's fields mirror two modeling conventions of the analytic side
 (they are assumptions of the model, not artifacts of this sampler):
@@ -51,10 +56,10 @@ trials), and validation runs at two seeds share no stream.
 Each estimator is a job: independent batches and their reduction (_Job).
 The batches of any list of jobs run in parallel on the process's CPUs as one
 dispatch (_run_jobs, on a thread pool that lives for that call only), so a
-validation run keeps every CPU busy with the load sampler's single task,
-KD-tree queries included, running on one thread beside the association and
-coverage batches.  Each job is reduced from its own batches in batch order,
-so no estimate depends on the number of threads or on the jobs beside it.
+validation run keeps every CPU busy with the load sampler's single task
+running on one thread beside the association and coverage batches.  Each
+job is reduced from its own batches in batch order, so no estimate depends
+on the number of threads or on the jobs beside it.
 """
 from __future__ import annotations
 
@@ -95,6 +100,13 @@ _PROBE_SPACING = 1.15
 # (about 0.5 GB of coordinates); at the reference point the lattice has
 # 1.44e5 sites for 250 trials, about 1.10e5 of them probes (441 per trial).
 _MAX_LOAD_POINTS = float(1 << 25)
+# Side of the load sampler's search cells, in typical BS spacings
+# 1 / sqrt(lambda), before rounding to whole probe spacings: about half a
+# BS per cell, so a probe's 3 x 3 cells hold about 4.4 candidates and most
+# probes need no wider ring.
+_CELL_SIDE = 0.7
+# Trials whose probes the load sampler lays out and searches at a time.
+_LOAD_BLOCK = 24
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -501,45 +513,345 @@ def _needs_small_lookup(
     return macro_interior | (d_m >= bound)
 
 
-def _probe_lattice(
-    rng: np.random.Generator, user_density: float, radius: float, offsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The load sampler's probes: a square lattice in each trial's user disc.
+def _ring_runs(ring: int) -> np.ndarray:
+    """The cells at Chebyshev distance `ring` from a cell, ring 1 with the
+    cell itself, as runs along x: one (dy, first dx, last dx) row each."""
+    if ring == 1:
+        return np.array([(-1, -1, 1), (0, -1, 1), (1, -1, 1)])
+    inner = np.arange(1 - ring, ring)
+    return np.concatenate([
+        [(-ring, -ring, ring), (ring, -ring, ring)],
+        np.column_stack((inner, np.full(inner.size, -ring), np.full(inner.size, -ring))),
+        np.column_stack((inner, np.full(inner.size, ring), np.full(inner.size, ring))),
+    ])
 
-    The lattice has spacing h = _PROBE_SPACING / sqrt(lambda_u) and is
-    shifted in each trial by one uniform offset in [0, h)^2 (a
-    Cranley-Patterson rotation, SIAM J. Numer. Anal. 1976), so any region
-    of area A holds A / h^2 probes on average and the probes, each standing
-    for lambda_u h^2 users, count its users without bias.  Returns the
-    probes of every trial, offset along x like the BSs, with their
-    distances to their trial centres and h.  Raises RuntimeError, naming
-    the probe lattice, before any probe array exists when the candidate
-    sites of all trials would number more than _MAX_LOAD_POINTS.
+
+def _firsts(groups: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of `groups` starts."""
+    new = np.empty(groups.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(groups[1:], groups[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _runs(lo: np.ndarray, count: np.ndarray, owner: np.ndarray):
+    """The integers lo[k] .. lo[k] + count[k] - 1 of every run k, laid end
+    to end, with each one's owner[k] and where each owner's start, equal
+    owners being adjacent; None when every run is empty."""
+    filled = np.flatnonzero(count)
+    if filled.size == 0:
+        return None
+    lo, count, owner = lo[filled], count[filled], owner[filled]
+    ends = np.cumsum(count)
+    begin = ends - count
+    # Cumulative sums of the steps from each integer to the next.
+    at = np.ones(int(ends[-1]), dtype=np.int64)
+    at[0] = lo[0]
+    at[begin[1:]] = lo[1:] - lo[:-1] - count[:-1] + 1
+    np.cumsum(at, out=at)
+    step = owner.copy()
+    step[1:] -= owner[:-1]
+    who = np.zeros(at.size, dtype=np.int64)
+    who[begin] = step
+    np.cumsum(who, out=who)
+    return at, who, begin[_firsts(owner)]
+
+
+class _Cells:
+    """The BSs of consecutive trials, counting-sorted into square cells.
+
+    Points are offset along x by their trial's entry of `offsets`.  Trial
+    t's cell (m, n), 0 <= m, n < width, covers the points whose coordinates
+    relative to (offsets[t], 0) lie in corner[:, t] + side * ([m, m + 1) x
+    [n, n + 1)).  No BS may lie in the outermost ring of a trial's cells,
+    so the 3 x 3 cells about any other cell are cells of its trial.  Cell
+    (t * width + n) * width + m holds the BSs at sorted positions
+    starts[c] .. starts[c + 1] - 1, with coordinates bx, by; the BS at
+    sorted position k is row order[k] of the BSs given.  The index holds
+    one entry per BS and per cell, a few per BS at about one BS a cell.
+    """
+
+    def __init__(self, bs, bs_trial, offsets, corner, side: float, width: int):
+        self.offsets = offsets
+        self.corner = corner
+        self.side = side
+        self.width = width
+        _, _, column, row = self.locate(bs, bs_trial)
+        # Cell keys from 1, so that the running sum of the keys' counts
+        # starts at 0.
+        key = bs_trial * (width * width)
+        row *= width
+        key += row
+        key += column
+        del column, row
+        key += 1
+        self.order = np.argsort(key, kind="stable")
+        self.starts = np.bincount(key, minlength=len(offsets) * width * width + 1)
+        del key
+        np.cumsum(self.starts, out=self.starts)
+        self.bx = bs[self.order, 0]
+        self.by = bs[self.order, 1]
+
+    def locate(self, points: np.ndarray, trial: np.ndarray):
+        """Each point's position from its trial's corner, in cell sides,
+        and its cell's column and row, kept off the outermost ring."""
+        u = points[:, 0] - self.offsets[trial]
+        u -= self.corner[0, trial]
+        u /= self.side
+        v = points[:, 1] - self.corner[1, trial]
+        v /= self.side
+        column = np.clip(np.floor(u), 1, self.width - 2).astype(np.int64)
+        row = np.clip(np.floor(v), 1, self.width - 2).astype(np.int64)
+        return u, v, column, row
+
+
+def _nearest_bs(
+    cells: _Cells,
+    probes: np.ndarray,
+    probe_trial: np.ndarray,
+    margin: float,
+    enough: np.ndarray | None = None,
+    scanned: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each probe's nearest BS in its own trial: its distance and its row.
+
+    The probes' trials must each hold a BS of `cells`; at about one BS a
+    cell the search takes expected constant time per probe (Bentley, Weide
+    and Yao, ACM TOMS 1980).  A probe scans the 3 x 3 cells
+    about its own, then one ring of cells more while its best squared
+    distance exceeds (ring * side + e - margin)^2, e being its distance to
+    its own cell's edge: no BS of an unscanned cell is nearer than
+    ring * side + e, and `margin` covers the rounding of the offset
+    coordinates.  Distances are sqrt(dx^2 + dy^2) on the offset
+    coordinates, as scipy's cKDTree takes them, so both give the same bits.
+    A probe also stops once its best distance so far is below its entry of
+    `enough`, keeping the best BS so far.  `scanned`, if given, holds each
+    probe's best squared distance and BS (sorted position) over its 3 x 3
+    cells, and e - margin (_lattice_scan); those cells are not scanned
+    again, and the first two arrays are updated in place.
+    """
+    width = cells.width
+    todo = np.arange(probes.shape[0])
+    if scanned is None:
+        best2 = np.full(todo.size, np.inf)
+        best = np.zeros(todo.size, dtype=np.int64)
+        ring, edge = 0, None
+    else:
+        best2, best, edge = scanned
+        ring = 1
+    # The cells of the probes still to do, once a ring is to be scanned.
+    column = row = None
+    while True:
+        if ring:
+            bound = edge + ring * cells.side
+            found = best2[todo]
+            go_on = found > bound * bound
+            if enough is not None:
+                go_on &= np.sqrt(found) >= enough[todo]
+            todo, edge = todo[go_on], edge[go_on]
+            if column is not None:
+                column, row = column[go_on], row[go_on]
+            # At ring width - 3 every cell of every trial has been scanned.
+            if todo.size == 0 or ring >= width - 3:
+                return np.sqrt(best2, out=best2), cells.order[best]
+        if column is None:
+            u, v, column, row = cells.locate(probes[todo], probe_trial[todo])
+            if edge is None:
+                u -= column
+                v -= row
+                edge = np.minimum(np.minimum(u, 1.0 - u), np.minimum(v, 1.0 - v))
+                edge *= cells.side
+                edge -= margin
+            del u, v
+        ring += 1
+        # The first and one past the last cell of each run of each probe,
+        # clipped to its trial's cells: a clipped run may scan some cells
+        # twice, never fewer.
+        runs = _ring_runs(ring)
+        base = np.clip(row[:, None] + runs[:, 0], 0, width - 1)
+        base += probe_trial[todo, None] * width
+        base *= width
+        lo = cells.starts[base + np.clip(column[:, None] + runs[:, 1], 0, width - 1)]
+        base += np.clip(column[:, None] + runs[:, 2], 0, width - 1)
+        base += 1
+        count = cells.starts[base]
+        del base
+        count -= lo
+        found = _runs(lo.ravel(), count.ravel(), np.repeat(todo, runs.shape[0]))
+        if found is None:
+            continue
+        at, who, first = found
+        d2 = cells.bx[at]
+        d2 -= probes[who, 0]
+        d2 *= d2
+        dy = cells.by[at]
+        dy -= probes[who, 1]
+        dy *= dy
+        d2 += dy
+        mine = who[first]
+        best2[mine] = np.minimum(best2[mine], np.minimum.reduceat(d2, first))
+        # Each probe's first candidate at its best distance, if one is.
+        hit = np.flatnonzero(d2 == best2[who])
+        hit = hit[_firsts(who[hit])]
+        best[who[hit]] = at[hit]
+
+
+def _lattice_cells(
+    bs: np.ndarray,
+    bs_trial: np.ndarray,
+    offsets: np.ndarray,
+    shifts: np.ndarray,
+    spacing: float,
+    radius: float,
+    density: float,
+    reach: float,
+) -> tuple[_Cells, int, int]:
+    """A tier's cells aligned with the probe lattice of spacing h: c x c
+    sites to a cell, c the whole number nearest _CELL_SIDE / (sqrt(lambda)
+    h) (at least 1), site column i of _probe_lattice lying in cell column
+    lead + i // c, and likewise for rows.  The cells cover each trial's
+    square of half-width `reach` inside their empty outer ring.  Returns
+    the cells, c and lead."""
+    half = _lattice_half(radius / spacing)
+    c = max(1, round(_CELL_SIDE / (math.sqrt(density) * spacing)))
+    side = c * spacing
+    # Site -half + s (s the shift) lies half a spacing inside the edge of
+    # column lead; lead - 1 columns reach -reach, and the last but one
+    # reaches +reach, whatever the shift.
+    lead = 1 + max(0, math.ceil((reach - (half - 0.5) * spacing) / side))
+    width = lead + math.ceil((reach + (half + 0.5) * spacing) / side) + 1
+    corner = (shifts[:, :, 0] - (half + 0.5)) * spacing - lead * side
+    return _Cells(bs, bs_trial, offsets, corner, side, width), c, lead
+
+
+def _lattice_scan(
+    cells: _Cells,
+    x: np.ndarray,
+    y: np.ndarray,
+    inside: np.ndarray,
+    first_trial: int,
+    c: int,
+    lead: int,
+    margin: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_nearest_bs's first ring for every site of a probe lattice at once.
+
+    `x` and `y` hold the sites' offset x and y coordinates per trial
+    (_probe_lattice) for the trials from `first_trial` on, c x c sites to a
+    cell, and site (i, j) lies in cell (lead + i // c, lead + j // c)
+    (_lattice_cells).  The sites of one cell share its candidates, so a
+    candidate's squared distances to them are the sums dx^2 + dy^2 over
+    the cell's c site columns and c rows, the terms _nearest_bs takes.
+    Returns _nearest_bs's `scanned` for the sites that `inside` marks, in
+    C order: each one's best squared distance and BS (sorted position) over
+    the 3 x 3 cells about its own, and its distance to its cell's edge
+    less `margin`.
+    """
+    trials, sites = x.shape
+    per_axis = sites // c
+    width = cells.width
+    t, column, row = np.indices((trials, per_axis, per_axis)).reshape(3, -1)
+    own = ((first_trial + t) * width + lead + row) * width + lead + column
+    runs = _ring_runs(1)
+    lo = cells.starts[own[:, None] + (runs[:, 0] * width + runs[:, 1])]
+    count = cells.starts[own[:, None] + (runs[:, 0] * width + runs[:, 2] + 1)]
+    count -= lo
+    # Entry (a, b, k): site (a, b) of cell k.
+    best2 = np.full((c, c, own.size), np.inf)
+    best = np.zeros((c, c, own.size), dtype=np.int64)
+    found = _runs(lo.ravel(), count.ravel(), np.repeat(np.arange(own.size), runs.shape[0]))
+    if found is not None:
+        at, who, first = found
+        # Each candidate's distances along x to its cell's c site columns,
+        # and along y to its c site rows.
+        dx = x.reshape(-1, c)[(t * per_axis + column)[who]].T - cells.bx[at]
+        dx *= dx
+        dy = y.reshape(-1, c)[(t * per_axis + row)[who]].T - cells.by[at]
+        dy *= dy
+        d2 = dx[:, None, :] + dy[None, :, :]
+        mine = who[first]
+        best2[:, :, mine] = np.minimum.reduceat(d2, first, axis=2)
+        # Each site's first candidate at its best distance, the hits of one
+        # site being adjacent.
+        hit = np.flatnonzero(d2 == best2[:, :, who])
+        candidate = hit % at.size
+        site = hit // at.size * own.size + who[candidate]
+        firsts = _firsts(site)
+        best.reshape(-1)[site[firsts]] = at[candidate[firsts]]
+    # Site (i, j) is site (i % c, j % c) of its cell, half a spacing or
+    # more from the cell's edge.
+    shape = (c, c, trials, per_axis, per_axis)
+    rim = np.arange(sites) % c + 0.5
+    rim = np.minimum(rim, c - rim)
+    edge = np.minimum(rim[:, None], rim[None, :])
+    edge *= cells.side / c
+    edge -= margin
+
+    def at_probes(a):
+        return a.reshape(shape).transpose(2, 3, 0, 4, 1).reshape(inside.shape)[inside]
+
+    return at_probes(best2), at_probes(best), np.broadcast_to(edge, inside.shape)[inside]
+
+
+def _probe_shifts(
+    rng: np.random.Generator, user_density: float, radius: float, trials: int
+) -> tuple[np.ndarray, float]:
+    """The probe lattice's shifts, one per trial, and its spacing.
+
+    The lattice has spacing h = _PROBE_SPACING / sqrt(lambda_u); trial t's
+    shift is shifts[:, t], uniform in [0, 1)^2 lattice spacings.  Raises
+    RuntimeError, naming the probe lattice, before drawing when the
+    candidate sites of all trials (_probe_lattice) would number more than
+    _MAX_LOAD_POINTS.
     """
     spacing = _PROBE_SPACING / math.sqrt(user_density)
     reach = radius / spacing
-    # Whatever the shift, only the sites -floor(reach) - 1 .. floor(reach)
-    # of each axis can lie in the disc of radius reach * h.
-    half = math.floor(reach) + 1 if math.isfinite(reach) else math.inf
-    if (2 * half) ** 2 * len(offsets) > _MAX_LOAD_POINTS:
+    half = _lattice_half(reach)
+    if (2 * half) ** 2 * trials > _MAX_LOAD_POINTS:
         raise RuntimeError(
             f"the probe lattice of the load sampler would span {(2 * half) ** 2:.3g} "
             f"sites per trial (about {math.pi * reach * reach:.3g} probes) over "
-            f"{len(offsets)} trials, more than {_MAX_LOAD_POINTS:.3g} in all; its "
+            f"{trials} trials, more than {_MAX_LOAD_POINTS:.3g} in all; its "
             "spacing is too fine for its window"
         )
-    sites = np.arange(-half, half)
-    shift = rng.random((2, len(offsets), 1))
+    return rng.random((2, trials, 1)), spacing
+
+
+def _lattice_half(reach: float) -> float:
+    """Whatever the shift, only the sites -half .. half - 1 of each axis
+    can lie in the disc of radius reach lattice spacings."""
+    return math.floor(reach) + 1 if math.isfinite(reach) else math.inf
+
+
+def _probe_lattice(
+    shifts: np.ndarray, spacing: float, radius: float, offsets: np.ndarray, count: int
+):
+    """The load sampler's probes: a square lattice in each trial's user disc.
+
+    The lattice of spacing h is shifted in each trial by its uniform shift
+    (a Cranley-Patterson rotation, SIAM J. Numer. Anal. 1976), so any
+    region of area A holds A / h^2 probes on average and the probes, each
+    standing for lambda_u h^2 users, count its users without bias.  Each
+    trial of `offsets` (shifts[:, t] being trial t's) has `count` site
+    columns and rows from -half, at least the 2 * half that can reach the
+    disc.  Returns the probes, offset along x like the BSs, each probe's
+    trial (its index into `offsets`) and distance to its trial centre, the
+    sites' offset x and y coordinates per trial, and the mask of the sites
+    that are probes, whose order (C order) the probes follow.
+    """
+    half = _lattice_half(radius / spacing)
+    sites = np.arange(-half, count - half)
     # Site coordinates of each trial, one row per trial.
-    x = (sites + shift[0]) * spacing
-    y = (sites + shift[1]) * spacing
+    x = (sites + shifts[0]) * spacing
+    y = (sites + shifts[1]) * spacing
     r2 = x[:, :, None] ** 2 + y[:, None, :] ** 2
     inside = r2 <= radius * radius
     x += offsets[:, None]
-    probes = np.empty((np.count_nonzero(inside), 2))
-    probes[:, 0] = np.broadcast_to(x[:, :, None], inside.shape)[inside]
-    probes[:, 1] = np.broadcast_to(y[:, None, :], inside.shape)[inside]
-    return probes, np.sqrt(r2[inside]), spacing
+    trial, i, j = np.nonzero(inside)
+    probes = np.empty((trial.size, 2))
+    probes[:, 0] = x[trial, i]
+    probes[:, 1] = y[trial, j]
+    return probes, trial, np.sqrt(r2[trial, i, j]), x, y, inside
 
 
 @dataclass(frozen=True)
@@ -567,33 +879,39 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
     """Users per BS under both association rules, both tiers, from one pass.
 
     Trials are laid out side by side on a line with a spacing that keeps
-    them geometrically independent, so a single KD-tree per tier answers
-    every nearest-BS query; the queries do not depend on the rule, so one
-    realization of BSs and lattice probes (_probe_lattice) serves both.
+    them geometrically independent, so every probe's nearest BS lies in its
+    own trial (_nearest_bs); the searches do not depend on the rule, so one
+    realization of BSs and lattice probes serves both.  Both BS processes
+    and every trial's lattice shift are drawn first, and each tier's BSs
+    are sorted into their cells (_lattice_cells), which then stand in for
+    the drawn coordinates.  The probes of _LOAD_BLOCK trials at a time are
+    then laid out (_probe_lattice), searched and booked to their BSs, and
+    only integer per-trial counts of the probes that in-region BSs serve
+    outlive a block: the totals a sum over the BSs would give, exactly.
     The estimate is the ratio of the users counted by probes served by
     in-region BSs to the in-region BS count (unbiased for the typical cell;
-    the BS nearest the origin would be size-biased).  Everything, the
-    KD-tree queries included, runs on the calling thread: in a validation
-    run this is the one batch of _load_job, and the other batches of its
-    dispatch keep the other CPUs busy.
+    the BS nearest the origin would be size-biased).  Everything runs on
+    the calling thread: in a validation run this is the one batch of
+    _load_job, and the other batches of its dispatch keep the other CPUs
+    busy.
 
-    Every probe's nearest macro BS is looked up, its nearest small-cell BS
-    only where that can change an in-region count (_needs_small_lookup:
+    Every probe's nearest macro BS is searched for, its nearest small-cell
+    BS only where that can change an in-region count (_needs_small_lookup:
     the nearest macro BS is in-region, or no nearer than
     rho - pick_small - margin, rho being the probe's distance to its trial
     centre).  Any other probe is served out of region under both rules, so
-    it is booked to its nearest macro BS and the estimates are those of
-    looking up every probe, bit for bit; the rules compare the distances of
-    the looked-up probes alone.
+    it is booked to its nearest macro BS.  A macro search stops early once
+    a probe has a macro BS nearer than rho - max(pick) - margin: its
+    nearest macro BS is then out of region and nearer than every in-region
+    BS of either tier, so it needs no small-cell lookup, and the
+    out-of-region macro BS it is booked to counts in no estimate.  The
+    estimates are thus those of looking up every probe in both tiers, bit
+    for bit; the rules compare the distances of the looked-up probes alone.
 
     Raises RuntimeError, naming the process or the probe lattice, when a
     Poisson mean is not finite or one process or the lattice would hold
     more than _MAX_LOAD_POINTS points.
     """
-    # Imported here: scipy.spatial costs every `import hetmec` about 0.13 s
-    # and only this sampler needs it.
-    from scipy.spatial import cKDTree
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
@@ -601,6 +919,8 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
     geo = _load_regions(params)
     rng = _rng(seed, _TAG_LOAD)
     offsets = np.arange(trials) * geo["spacing"]
+    margin = _LOOKUP_MARGIN * geo["spacing"]
+    rules = ("power", "nearest")
 
     def sample_process(name: str, density: float, radius: float):
         mean = density * math.pi * radius * radius
@@ -637,62 +957,95 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
             # A trial with no BS of a nonzero-density tier cannot resolve
             # nearest queries; astronomically unlikely at these radii.
             raise RuntimeError("a trial sampled zero base stations; enlarge the window")
-        # The small-cell tree holds the most BSs and answers only the pruned
-        # lookups, so its build outweighs its queries and the cheaper
-        # unbalanced, non-compact build pays; the macro tree gains nothing
-        # from it.  No tree's shape changes a nearest distance or index.
-        options = {"balanced_tree": False, "compact_nodes": False} if tier is Tier.SMALL else {}
+        interior = radial <= geo["picks"][tier]
         bs[tier] = {
-            "tree": cKDTree(pts, **options),
-            "trial_of": np.repeat(np.arange(trials), counts),
-            "interior": radial <= geo["picks"][tier],
-            "n": pts.shape[0],
+            "pts": pts,
+            "counts": counts,
+            "interior": interior,
+            # Per trial: the in-region BSs, and per rule the probes they serve.
+            "in_region": np.add.reduceat(interior, np.cumsum(counts) - counts, dtype=np.int64),
+            "served": {rule: np.zeros(trials, dtype=np.int64) for rule in rules},
         }
+        del pts, radial  # the cells below keep sorted copies
 
-    probes, probe_radial, spacing = _probe_lattice(rng, params.user_density, geo["r_user"], offsets)
-    n_probes = probes.shape[0]
-
-    macro = bs[Tier.MACRO]
-    d_m, i_m = macro["tree"].query(probes, k=1)
-    asked = np.zeros(0, dtype=np.int64)
-    if bs[Tier.SMALL] is not None:
-        asked = np.flatnonzero(
-            _needs_small_lookup(
-                d_m, macro["interior"][i_m], probe_radial, geo["picks"][Tier.SMALL], geo["spacing"]
+    shifts, spacing = _probe_shifts(rng, params.user_density, geo["r_user"], trials)
+    for tier, info in bs.items():
+        if info is not None:
+            info["cells"], info["c"], info["lead"] = _lattice_cells(
+                info.pop("pts"), np.repeat(np.arange(trials), info.pop("counts")), offsets,
+                shifts, spacing, geo["r_user"], tier_params(params, tier).density,
+                geo["r_bs"][tier],
             )
+    macro, small = bs[Tier.MACRO], bs[Tier.SMALL]
+    # The lattice has whole macro cells of c x c sites.
+    sites = macro["c"] * -(-2 * _lattice_half(geo["r_user"] / spacing) // macro["c"])
+    # A probe with a macro BS nearer than rho - out_pick is served out of
+    # region whatever its nearest BS of either tier is.
+    out_pick = max(geo["picks"].values()) + margin
+
+    n_probes = 0
+    small_lookups = 0
+    for start in range(0, trials, _LOAD_BLOCK):
+        block = slice(start, min(start + _LOAD_BLOCK, trials))
+        probes, probe_trial, probe_radial, x, y, inside = _probe_lattice(
+            shifts[:, block], spacing, geo["r_user"], offsets[block], sites
         )
-    asked_probes = probes[asked]
-    # Free the probe coordinates before the per-rule temporaries: they would
-    # set the sampler's peak memory.
-    del probes, probe_radial
-    # A probe not asked about is served out of region whichever tier wins,
-    # so it is booked to its macro BS under both rules.
-    d_s, i_s = np.zeros(0), np.zeros(0, dtype=np.int64)
-    if asked.size:
-        d_s, i_s = bs[Tier.SMALL]["tree"].query(asked_probes, k=1)
-    d_m_asked = d_m[asked]
-    small_wins_by_rule = {
-        "power": _power_rule_small_wins(params, d_m_asked, d_s),
-        "nearest": d_s < d_m_asked,
-    }
+        n_probes += probes.shape[0]
+        first_ring = _lattice_scan(
+            macro["cells"], x, y, inside, start, macro["c"], macro["lead"], margin
+        )
+        del x, y, inside
+        d_m, i_m = _nearest_bs(
+            macro["cells"], probes, probe_trial + start, margin, probe_radial - out_pick,
+            first_ring,
+        )
+        del first_ring
+        macro_in = macro["interior"][i_m]
+        asked = np.zeros(0, dtype=np.int64)
+        if small is not None:
+            asked = np.flatnonzero(
+                _needs_small_lookup(
+                    d_m, macro_in, probe_radial, geo["picks"][Tier.SMALL], geo["spacing"]
+                )
+            )
+        small_lookups += asked.size
+        # A probe not asked about is served out of region whichever tier
+        # wins, so it is booked to its macro BS under both rules.
+        d_s, small_in = np.zeros(0), np.zeros(0, dtype=bool)
+        if asked.size:
+            d_s, i_s = _nearest_bs(
+                small["cells"], probes[asked], probe_trial[asked] + start, margin
+            )
+            small_in = small["interior"][i_s]
+        d_m_asked = d_m[asked]
+        small_wins_by_rule = {
+            "power": _power_rule_small_wins(params, d_m_asked, d_s),
+            "nearest": d_s < d_m_asked,
+        }
+        for rule, small_wins in small_wins_by_rule.items():
+            macro_wins = np.ones(probes.shape[0], dtype=bool)
+            macro_wins[asked[small_wins]] = False
+            macro_wins &= macro_in
+            macro["served"][rule][block] += np.bincount(
+                probe_trial[macro_wins], minlength=block.stop - block.start
+            )
+            if asked.size:
+                small_wins &= small_in
+                small["served"][rule][block] += np.bincount(
+                    probe_trial[asked[small_wins]], minlength=block.stop - block.start
+                )
+
     users_per_probe = params.user_density * spacing * spacing
     out = {}
-    for rule, small_wins in small_wins_by_rule.items():
-        macro_wins = np.ones(n_probes, dtype=bool)
-        macro_wins[asked[small_wins]] = False
-        served = {Tier.MACRO: i_m[macro_wins], Tier.SMALL: i_s[small_wins]}
+    for rule in rules:
         out[rule] = {}
         for tier, info in bs.items():
             if info is None:
                 out[rule][tier] = McEstimate(0.0, 0.0, trials)
                 continue
-            per_bs = np.bincount(served[tier], minlength=info["n"])
-            interior = info["interior"]
-            totals = np.bincount(
-                info["trial_of"][interior], weights=per_bs[interior], minlength=trials
-            )
-            totals *= users_per_probe
-            cells = np.bincount(info["trial_of"][interior], minlength=trials)
+            # Integer counts: each total is the one a sum over BSs gives.
+            totals = info["served"][rule] * users_per_probe
+            cells = info["in_region"]
             total_cells = int(cells.sum())
             if total_cells == 0:
                 raise RuntimeError("no interior cells sampled; increase trials")
@@ -702,4 +1055,4 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
             if trials > 1:
                 var *= trials / (trials - 1)
             out[rule][tier] = McEstimate(est, math.sqrt(var), trials)
-    return LoadEstimates(out, int(n_probes), spacing, int(asked.size))
+    return LoadEstimates(out, n_probes, spacing, small_lookups)

@@ -83,8 +83,8 @@ def run_validation(params: ScenarioParams, trials: int, seed: int = 0) -> Valida
     `trials` drives the association tallies and each coverage estimate; the
     per-cell loads take max(160, trials // 400) realizations.  All of the
     sampler's work is one montecarlo._run_jobs call: the load stage first,
-    as its one task is the longest, then the association and coverage
-    batches around it, which keeps the full run to about 0.2 s at
+    as its one task is the longest (about 0.1 s), then the association and
+    coverage batches around it, which keeps the full run to about 0.3 s at
     trials = 1e5 on a 2-vCPU host.  Coverage is drawn once per coverage
     law, and every estimate is the one its own empirical_* or
     _load_estimates call gives at the same seed.

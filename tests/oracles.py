@@ -9,14 +9,16 @@ it, the unpruned load sampler builds the probe lattice trial by trial and
 answers every nearest-BS query that the library's sampler may skip, the
 user-process load sampler counts Poisson users instead of lattice probes,
 the own-tier load window is a wider user disc that sizes each tier's
-reach by its own void alone, the indexed field exponent multiplies each
-interferer's factor into its trial through an explicit per-interferer trial
-index, the explicit-fade field draws the interferers' fades that the
-sampler averages out, and the serial coverage sampler runs the coverage
-batches one after another in the calling thread.  The two coverage
-references check the dispatch and the serving-distance law; each takes
-its trials' values from the library's coverage law
-(`montecarlo._coverage_values`), which alone spells the interferer fields.
+reach by its own void alone, scipy's KD-tree is the nearest-BS search that
+the sampler's cell search must match bit for bit, the indexed field
+exponent multiplies each interferer's factor into its trial through an
+explicit per-interferer trial index, the explicit-fade field draws the
+interferers' fades that the sampler averages out, and the serial coverage
+sampler runs the coverage batches one after another in the calling
+thread.  The two coverage references check the dispatch and the
+serving-distance law; each takes its trials' values from the library's
+coverage law (`montecarlo._coverage_values`), which alone spells the
+interferer fields.
 """
 import math
 
@@ -237,6 +239,13 @@ def own_tier_load_regions(params) -> dict:
     r_user = max(picks[t] + tails[t] for t in picks)
     r_bs = {t: r_user + tails[t] for t in tails}
     return {"picks": picks, "r_user": r_user, "r_bs": r_bs, "spacing": 4.0 * max(r_bs.values())}
+
+
+def kd_tree_nearest(points, queries):
+    """Each query's nearest point by scipy's KD-tree: its distance and row."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points).query(queries, k=1)
 
 
 def _bs_tiers(params, trials: int, rng, geo: dict, offsets):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ from hetmec.montecarlo import (
 from oracles import (
     explicit_fade_field_exponents,
     indexed_field_exponent,
+    kd_tree_nearest,
     own_tier_load_regions,
     rejection_coverage,
     serial_coverage,
@@ -561,14 +563,19 @@ def test_nearest_rule_uplink_coverage_names_no_tier(raw, code_apart):
 
 def test_sampler_imports_no_closed_form():
     # The sampler is an independent oracle: of the package it takes the
-    # scenario, tier_params and the names of policies, links and tiers alone.
+    # scenario, tier_params and the names of policies, links and tiers
+    # alone, and it imports nothing of scipy.
     tree = ast.parse(Path(hetmec.montecarlo.__file__).read_text(encoding="utf-8"))
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            assert not any(alias.name.split(".")[0] == "hetmec" for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("hetmec")):
-            names.update(alias.name for alias in node.names)
+            assert not any(
+                alias.name.split(".")[0] in ("hetmec", "scipy") for alias in node.names
+            )
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level or node.module.split(".")[0] != "scipy", node.module
+            if node.level or node.module.startswith("hetmec"):
+                names.update(alias.name for alias in node.names)
     assert names == {"Link", "Policy", "Tier", "tier_params", "ScenarioParams"}
 
 
@@ -595,6 +602,22 @@ def _run_fresh(script: str) -> str:
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.split()
+
+
+def test_validation_imports_no_kd_tree():
+    # The load sampler searches its cells itself: a validation run in a
+    # fresh process leaves scipy.spatial unimported.
+    out = _run_fresh(
+        """
+        import sys
+        import hetmec
+        from hetmec.validate import run_validation
+
+        run_validation(hetmec.default_params(), 2000, seed=3)
+        print("scipy.spatial" in sys.modules)
+        """
+    )
+    assert out == ["False"]
 
 
 def test_analytic_paths_start_no_thread():
@@ -706,22 +729,26 @@ def test_load_estimates_match_closed_forms():
 def test_empirical_load_probe_conservation(monkeypatch):
     # Under each rule, in every realization, the probes assigned to that
     # realization's BSs add up exactly to the probes drawn in it: each probe
-    # is served once, by a BS of its own trial.
-    from scipy import spatial
+    # is served once, by a BS of its own trial.  A spy on the cell search
+    # records the probes of each search and the BSs it found; the macro
+    # searches are the ones given a bound to stop at.
+    searches = []
+    search = hetmec.montecarlo._nearest_bs
 
-    trees = []
+    def spy(cells, probes, *args):
+        d, i = search(cells, probes, *args)
+        searches.append((len(args) > 2, _cell_bs(cells)[i], probes.copy(), d))
+        return d, i
 
-    class RecordingTree(spatial.cKDTree):
-        def query(self, x, *args, **kwargs):
-            d, i = super().query(x, *args, **kwargs)
-            trees.append((self.data, np.array(x), d, i))
-            return d, i
-
-    monkeypatch.setattr(spatial, "cKDTree", RecordingTree)
+    monkeypatch.setattr(hetmec.montecarlo, "_nearest_bs", spy)
     trials = 60
     loads = _load_estimates(DEFAULTS, trials=trials, seed=23)
-    (macro_bs, probes, d_m, i_m), (small_bs, asked_probes, d_s_asked, i_s_asked) = trees
+    (macro_bs, probes, d_m), (small_bs, asked_probes, d_s_asked) = (
+        [np.concatenate([found[k] for found in searches if found[0] is macro]) for k in (1, 2, 3)]
+        for macro in (True, False)
+    )
     assert probes.shape[0] == loads.probes
+    assert asked_probes.shape[0] == loads.small_lookups
     spacing = _load_regions(DEFAULTS)["spacing"]
 
     def trial(points):
@@ -731,12 +758,12 @@ def test_empirical_load_probe_conservation(monkeypatch):
     asked = np.array([row_of[tuple(p)] for p in asked_probes], dtype=np.int64)
     d_s = np.full(probes.shape[0], np.inf)
     d_s[asked] = d_s_asked
-    i_s = np.zeros(probes.shape[0], dtype=np.int64)
-    i_s[asked] = i_s_asked
+    small_served = np.zeros_like(probes)
+    small_served[asked] = small_bs
     drawn = np.bincount(trial(probes), minlength=trials)
     assert drawn.sum() == loads.probes and np.all(drawn > 0)
     for small_wins in (_power_rule_small_wins(DEFAULTS, d_m, d_s), d_s < d_m):
-        served_trial = np.where(small_wins, trial(small_bs)[i_s], trial(macro_bs)[i_m])
+        served_trial = np.where(small_wins, trial(small_served), trial(macro_bs))
         assert np.array_equal(np.bincount(served_trial, minlength=trials), drawn)
 
     # Loads weighted by BS density add back to the user density.
@@ -792,6 +819,109 @@ def test_pruned_load_lookups_match_unpruned_sampler(config, seed, monkeypatch):
             assert (got.mean, got.std_error, got.trials) == (
                 estimate.mean, estimate.std_error, estimate.trials
             ), (rule, tier)
+
+
+def _cell_bs(cells) -> np.ndarray:
+    """The BSs of a cell index, in the rows they were given in."""
+    bs = np.empty((cells.order.size, 2))
+    bs[cells.order, 0] = cells.bx
+    bs[cells.order, 1] = cells.by
+    return bs
+
+
+@pytest.mark.parametrize("trials", [1, 30])
+@pytest.mark.parametrize("config", list(LOAD_CONFIGS))
+def test_cell_search_matches_kd_tree(config, trials, monkeypatch):
+    # Every cell search of the load sampler, run to the end, gives each probe
+    # the distance and the BS that scipy's KD-tree gives, bit for bit, with
+    # and without the lattice's first ring; a search its bound stopped early
+    # kept a BS nearer than that bound.
+    raw, tail_log = LOAD_CONFIGS[config]
+    if tail_log is not None:
+        monkeypatch.setattr(hetmec.montecarlo, "_LOAD_TAIL_LOG", tail_log)
+    searches = []
+    search = hetmec.montecarlo._nearest_bs
+
+    def spy(cells, probes, probe_trial, margin, enough=None, scanned=None):
+        first_ring = None if scanned is None else tuple(a.copy() for a in scanned)
+        d, i = search(cells, probes, probe_trial, margin, enough, scanned)
+        searches.append((cells, probes, probe_trial, margin, enough, first_ring, d, i))
+        return d, i
+
+    monkeypatch.setattr(hetmec.montecarlo, "_nearest_bs", spy)
+    _load_estimates(params_from_raw(raw), trials=trials, seed=51)
+    assert any(enough is not None for *_, enough, _, _, _ in searches)
+    for cells, probes, probe_trial, margin, enough, first_ring, d, i in searches:
+        want_d, want_i = kd_tree_nearest(_cell_bs(cells), probes)
+        for scanned in [None, first_ring]:
+            if scanned is not None:
+                scanned = tuple(a.copy() for a in scanned)
+            got_d, got_i = search(cells, probes, probe_trial, margin, None, scanned)
+            assert np.array_equal(got_d, want_d) and np.array_equal(got_i, want_i)
+        early = (d != want_d) | (i != want_i)
+        if enough is None:
+            assert not early.any()
+        else:
+            assert np.all(d[early] < enough[early])
+
+
+def _edge_points(rng, n: int) -> np.ndarray:
+    """Points of [-4, 4]^2 on the edges of unit cells: one coordinate a
+    whole number, the other a whole number of 64ths, every fourth point a
+    corner; all exact in binary, as are their squared distances."""
+    on = rng.integers(-4, 5, n).astype(float)
+    along = rng.integers(-256, 257, n) / 64.0
+    along[::4] = np.rint(along[::4])
+    swap = rng.random(n) < 0.5
+    return np.where(swap[:, None], np.column_stack((along, on)), np.column_stack((on, along)))
+
+
+@pytest.mark.parametrize("bs_counts", [(40, 40, 1), (25,)])
+def test_cell_search_on_cell_edges_and_corners(bs_counts):
+    # BSs and probes on the edges and corners of unit cells, in trials 64
+    # apart: three trials, the last with one BS in a corner of its square,
+    # far from most of its probes; and a lone trial.  Every probe with one
+    # nearest BS gets the KD-tree's distance and BS, bit for bit; a probe
+    # with two is left out, as which of them a KD-tree returns is not
+    # specified.
+    rng = np.random.default_rng(7)
+    trials = len(bs_counts)
+    offsets = np.arange(trials) * 64.0
+    bs_trial = np.repeat(np.arange(trials), bs_counts)
+    bs = _edge_points(rng, bs_trial.size)
+    bs[bs_trial == 2] = 4.0
+    bs[:, 0] += offsets[bs_trial]
+    probe_trial = np.repeat(np.arange(trials), 60)
+    probes = _edge_points(rng, probe_trial.size)
+    probes[:, 0] += offsets[probe_trial]
+    d2 = ((probes[:, None, :] - bs[None, :, :]) ** 2).sum(axis=2)
+    single = np.count_nonzero(d2 == d2.min(axis=1, keepdims=True), axis=1) == 1
+    assert np.count_nonzero(single) >= 0.8 * probes.shape[0]
+    probes, probe_trial = probes[single], probe_trial[single]
+    # Unit cells over [-4, 4]^2 in a ring of empty cells.
+    cells = hetmec.montecarlo._Cells(bs, bs_trial, offsets, np.full((2, trials), -5.0), 1.0, 10)
+    d, i = hetmec.montecarlo._nearest_bs(cells, probes, probe_trial, _LOOKUP_MARGIN * 64.0)
+    want_d, want_i = kd_tree_nearest(bs, probes)
+    assert np.array_equal(d, want_d) and np.array_equal(i, want_i)
+
+
+def test_load_stage_memory_peak():
+    # The load stage keeps the probes of one block of trials at a time, and
+    # its cells in place of the drawn BSs: at the validation's load
+    # realization its traced peak stays within the 9.9 MiB that its KD-tree
+    # search reached.
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _load_estimates(DEFAULTS, trials=250, seed=9)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 9.9 * 2**20
 
 
 def test_load_sampler_looks_up_few_small_cells():
