@@ -27,14 +27,16 @@ exp(-lambda pi sqrt(sP) arctan(sqrt(sP) / R^2)) (Andrews, Baccelli and
 Ganti, IEEE TCOM 2011), so the cut costs variance, not bias.  The standard
 error is the sample standard deviation of the per-trial values.
 
-Per-cell loads come from one realization of BSs, many trials side by side.
-The users are counted by probes on a square lattice shifted by one uniform
-offset per trial, each probe standing for lambda_u h^2 users of a lattice
-of spacing h: unbiased for the mean load, with no Poisson count noise.
-Nearest BSs are found by an exact search in square cells of about half a
-BS each, laid about each trial's centre (Bentley, Weide and Yao, ACM TOMS
-1980), which gives the distances and BSs of a KD-tree bit for bit; the
-probes are laid out and searched one block of trials at a time.  Every
+Per-cell loads come from one realization of BSs in many trials, each in its
+own frame about its centre.  The users are counted by probes on a square
+lattice given one uniform shift per trial, each probe standing for
+lambda_u h^2 users of a lattice of spacing h: unbiased for the mean load,
+with no Poisson count noise.  Nearest BSs are found by an exact search in
+square cells of about one BS each, laid about each trial's centre
+(Bentley, Weide and Yao, ACM TOMS 1980): a probe scans the 3 x 3 cells
+about its own, and one that they cannot settle scans its whole trial once,
+which gives the distances and BSs of a KD-tree bit for bit; the probes
+are laid out and searched one block of trials at a time.  Every
 probe's nearest macro BS is looked up, its nearest small-cell BS only
 where that can change a counted cell, and a macro lookup stops early once
 no counted cell can serve the probe; the skipped work cannot change any
@@ -86,7 +88,8 @@ _BATCH = 1 << 13
 # the field beyond enters through its Laplace functional.
 _INTERFERER_SPAN = 5.0
 _LOAD_TAIL_LOG = math.log(1e9)
-# Slack of the load sampler's small-cell lookup bound, in trial spacings.
+# Slack of the load sampler's search and lookup bounds, in radii of the
+# widest BS disc of a trial.
 _LOOKUP_MARGIN = 1e-6
 # Spacing of the load sampler's probe lattice, in typical user spacings
 # 1 / sqrt(lambda_u).  A coarser lattice has fewer probes to look up but is
@@ -101,12 +104,16 @@ _PROBE_SPACING = 1.15
 # 1.44e5 sites for 250 trials, about 1.10e5 of them probes (441 per trial).
 _MAX_LOAD_POINTS = float(1 << 25)
 # Side of the load sampler's search cells, in typical BS spacings
-# 1 / sqrt(lambda), before rounding to whole probe spacings: about half a
-# BS per cell, so a probe's 3 x 3 cells hold about 4.4 candidates and most
-# probes need no wider ring.
-_CELL_SIDE = 0.7
-# Trials whose probes the load sampler lays out and searches at a time.
-_LOAD_BLOCK = 24
+# 1 / sqrt(lambda), before rounding to whole probe spacings: about one BS
+# per cell, so a probe's 3 x 3 cells hold about 9 candidates and few probes
+# need the pass over their whole trial.
+_CELL_SIDE = 1.0
+# Trials whose probes the load sampler lays out and searches at a time: at
+# 12 the whole-trial pass's candidate arrays stay small beside the cells.
+_LOAD_BLOCK = 12
+# The 3 x 3 cells about a cell, as three runs along x: the rows below, at,
+# and above it, each from one column left of it to one right.
+_FIRST_RING = np.array([-1, 0, 1])
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -484,12 +491,7 @@ def _load_regions(params: ScenarioParams) -> dict:
         joint_tails[tier] = math.sqrt(_LOAD_TAIL_LOG / (math.pi * slope))
     r_user = max(picks[t] + joint_tails[t] for t in picks)
     r_bs = {t: r_user + tails[t] for t in tails}
-    return {
-        "picks": picks,
-        "r_user": r_user,
-        "r_bs": r_bs,
-        "spacing": 4.0 * max(r_bs.values()),
-    }
+    return {"picks": picks, "r_user": r_user, "r_bs": r_bs}
 
 
 def _needs_small_lookup(
@@ -497,7 +499,7 @@ def _needs_small_lookup(
     macro_interior: np.ndarray,
     user_radial: np.ndarray,
     pick_small: float,
-    spacing: float,
+    extent: float,
 ) -> np.ndarray:
     """Users whose nearest small-cell BS can change an in-region cell count.
 
@@ -506,24 +508,12 @@ def _needs_small_lookup(
     is out of region and nearer than that, every in-region small BS loses to
     it under the nearest rule and, as P_m >= P_s, under the max-power rule:
     the user is served out of region whatever its nearest small BS is.  The
-    margin of 1e-6 trial spacings keeps the bound clear of the rounding of
-    coordinates offset by up to trials * spacing.
+    margin of 1e-6 `extent`s, the radius of a trial's widest BS disc, keeps
+    the bound clear of the rounding of coordinates up to `extent` from the
+    trial centre.
     """
-    bound = user_radial - (pick_small + _LOOKUP_MARGIN * spacing)
+    bound = user_radial - (pick_small + _LOOKUP_MARGIN * extent)
     return macro_interior | (d_m >= bound)
-
-
-def _ring_runs(ring: int) -> np.ndarray:
-    """The cells at Chebyshev distance `ring` from a cell, ring 1 with the
-    cell itself, as runs along x: one (dy, first dx, last dx) row each."""
-    if ring == 1:
-        return np.array([(-1, -1, 1), (0, -1, 1), (1, -1, 1)])
-    inner = np.arange(1 - ring, ring)
-    return np.concatenate([
-        [(-ring, -ring, ring), (ring, -ring, ring)],
-        np.column_stack((inner, np.full(inner.size, -ring), np.full(inner.size, -ring))),
-        np.column_stack((inner, np.full(inner.size, ring), np.full(inner.size, ring))),
-    ])
 
 
 def _firsts(groups: np.ndarray) -> np.ndarray:
@@ -560,19 +550,19 @@ def _runs(lo: np.ndarray, count: np.ndarray, owner: np.ndarray):
 class _Cells:
     """The BSs of consecutive trials, counting-sorted into square cells.
 
-    Points are offset along x by their trial's entry of `offsets`.  Trial
-    t's cell (m, n), 0 <= m, n < width, covers the points whose coordinates
-    relative to (offsets[t], 0) lie in corner[:, t] + side * ([m, m + 1) x
-    [n, n + 1)).  No BS may lie in the outermost ring of a trial's cells,
-    so the 3 x 3 cells about any other cell are cells of its trial.  Cell
-    (t * width + n) * width + m holds the BSs at sorted positions
-    starts[c] .. starts[c + 1] - 1, with coordinates bx, by; the BS at
-    sorted position k is row order[k] of the BSs given.  The index holds
-    one entry per BS and per cell, a few per BS at about one BS a cell.
+    Each trial has its own frame about its centre.  Trial t's cell (m, n),
+    0 <= m, n < width, covers the points of trial t whose coordinates lie in
+    corner[:, t] + side * ([m, m + 1) x [n, n + 1)).  No BS may lie in the
+    outermost ring of a trial's cells, so the 3 x 3 cells about any other
+    cell are cells of its trial.  Cell (t * width + n) * width + m holds the
+    BSs at sorted positions starts[c] .. starts[c + 1] - 1, so trial t's
+    BSs are those at starts[t * width^2] .. starts[(t + 1) * width^2] - 1,
+    with coordinates bx, by; the BS at sorted position k is row order[k] of
+    the BSs given.  The index holds one entry per BS and per cell, a few
+    per BS at about one BS a cell.
     """
 
-    def __init__(self, bs, bs_trial, offsets, corner, side: float, width: int):
-        self.offsets = offsets
+    def __init__(self, bs, bs_trial, corner, side: float, width: int):
         self.corner = corner
         self.side = side
         self.width = width
@@ -586,7 +576,7 @@ class _Cells:
         del column, row
         key += 1
         self.order = np.argsort(key, kind="stable")
-        self.starts = np.bincount(key, minlength=len(offsets) * width * width + 1)
+        self.starts = np.bincount(key, minlength=corner.shape[1] * width * width + 1)
         del key
         np.cumsum(self.starts, out=self.starts)
         self.bx = bs[self.order, 0]
@@ -595,14 +585,60 @@ class _Cells:
     def locate(self, points: np.ndarray, trial: np.ndarray):
         """Each point's position from its trial's corner, in cell sides,
         and its cell's column and row, kept off the outermost ring."""
-        u = points[:, 0] - self.offsets[trial]
-        u -= self.corner[0, trial]
+        u = points[:, 0] - self.corner[0, trial]
         u /= self.side
         v = points[:, 1] - self.corner[1, trial]
         v /= self.side
         column = np.clip(np.floor(u), 1, self.width - 2).astype(np.int64)
         row = np.clip(np.floor(v), 1, self.width - 2).astype(np.int64)
         return u, v, column, row
+
+
+def _first_ring(cells: _Cells, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 3 x 3 cells about each cell of `own` as runs of sorted positions
+    (_FIRST_RING): each run's first position and its count, one row of
+    three runs per cell."""
+    rows = own[:, None] + _FIRST_RING * cells.width
+    lo = cells.starts[rows - 1]
+    count = cells.starts[rows + 2]
+    count -= lo
+    return lo, count
+
+
+def _scan(
+    cells: _Cells,
+    probes: np.ndarray,
+    todo: np.ndarray,
+    lo: np.ndarray,
+    count: np.ndarray,
+    best2: np.ndarray,
+    best: np.ndarray,
+) -> None:
+    """Scan runs of BSs for the probes `todo`, updating best2 and best.
+
+    Row k of `lo` and `count` holds probe todo[k]'s runs, run j being the
+    sorted positions lo[k, j] .. lo[k, j] + count[k, j] - 1.  Each probe's
+    best2 falls to its nearest candidate's squared distance, and if a
+    candidate lies at its best squared distance, its entry of best becomes
+    the sorted position of its first such candidate.
+    """
+    found = _runs(lo.ravel(), count.ravel(), np.repeat(todo, lo.shape[1]))
+    if found is None:
+        return
+    at, who, first = found
+    d2 = cells.bx[at]
+    d2 -= probes[who, 0]
+    d2 *= d2
+    dy = cells.by[at]
+    dy -= probes[who, 1]
+    dy *= dy
+    d2 += dy
+    mine = who[first]
+    best2[mine] = np.minimum(best2[mine], np.minimum.reduceat(d2, first))
+    # Each probe's first candidate at its best distance, if one is.
+    hit = np.flatnonzero(d2 == best2[who])
+    hit = hit[_firsts(who[hit])]
+    best[who[hit]] = at[hit]
 
 
 def _nearest_bs(
@@ -615,91 +651,49 @@ def _nearest_bs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each probe's nearest BS in its own trial: its distance and its row.
 
-    The probes' trials must each hold a BS of `cells`; at about one BS a
-    cell the search takes expected constant time per probe (Bentley, Weide
-    and Yao, ACM TOMS 1980).  A probe scans the 3 x 3 cells
-    about its own, then one ring of cells more while its best squared
-    distance exceeds (ring * side + e - margin)^2, e being its distance to
-    its own cell's edge: no BS of an unscanned cell is nearer than
-    ring * side + e, and `margin` covers the rounding of the offset
-    coordinates.  Distances are sqrt(dx^2 + dy^2) on the offset
-    coordinates, as scipy's cKDTree takes them, so both give the same bits.
-    A probe also stops once its best distance so far is below its entry of
-    `enough`, keeping the best BS so far.  `scanned`, if given, holds each
+    The probes' trials must each hold a BS of `cells`.  A probe scans the
+    3 x 3 cells about its own.  No BS outside them is nearer than side + e,
+    e being the probe's distance to its own cell's edge, so only
+    a probe whose best squared distance still exceeds (side + e - margin)^2
+    scans every BS of its trial, in one pass; `margin` covers the rounding
+    of the coordinates.  At about one BS a cell few probes need that pass,
+    and the search takes expected constant time per probe (Bentley, Weide
+    and Yao, ACM TOMS 1980).  Distances are sqrt(dx^2 + dy^2), as scipy's
+    cKDTree takes them, so both give the same bits.  A probe whose best
+    distance over its 3 x 3 cells is below its entry of `enough` skips the
+    pass, keeping the best BS so far.  `scanned`, if given, holds each
     probe's best squared distance and BS (sorted position) over its 3 x 3
     cells, and e - margin (_lattice_scan); those cells are not scanned
     again, and the first two arrays are updated in place.
     """
     width = cells.width
-    todo = np.arange(probes.shape[0])
     if scanned is None:
-        best2 = np.full(todo.size, np.inf)
-        best = np.zeros(todo.size, dtype=np.int64)
-        ring, edge = 0, None
+        u, v, column, row = cells.locate(probes, probe_trial)
+        u -= column
+        v -= row
+        edge = np.minimum(np.minimum(u, 1.0 - u), np.minimum(v, 1.0 - v))
+        edge *= cells.side
+        edge -= margin
+        best2 = np.full(probes.shape[0], np.inf)
+        best = np.zeros(probes.shape[0], dtype=np.int64)
+        own = (probe_trial * width + row) * width + column
+        _scan(cells, probes, np.arange(probes.shape[0]), *_first_ring(cells, own), best2, best)
     else:
         best2, best, edge = scanned
-        ring = 1
-    # The cells of the probes still to do, once a ring is to be scanned.
-    column = row = None
-    while True:
-        if ring:
-            bound = edge + ring * cells.side
-            found = best2[todo]
-            go_on = found > bound * bound
-            if enough is not None:
-                go_on &= np.sqrt(found) >= enough[todo]
-            todo, edge = todo[go_on], edge[go_on]
-            if column is not None:
-                column, row = column[go_on], row[go_on]
-            # At ring width - 3 every cell of every trial has been scanned.
-            if todo.size == 0 or ring >= width - 3:
-                return np.sqrt(best2, out=best2), cells.order[best]
-        if column is None:
-            u, v, column, row = cells.locate(probes[todo], probe_trial[todo])
-            if edge is None:
-                u -= column
-                v -= row
-                edge = np.minimum(np.minimum(u, 1.0 - u), np.minimum(v, 1.0 - v))
-                edge *= cells.side
-                edge -= margin
-            del u, v
-        ring += 1
-        # The first and one past the last cell of each run of each probe,
-        # clipped to its trial's cells: a clipped run may scan some cells
-        # twice, never fewer.
-        runs = _ring_runs(ring)
-        base = np.clip(row[:, None] + runs[:, 0], 0, width - 1)
-        base += probe_trial[todo, None] * width
-        base *= width
-        lo = cells.starts[base + np.clip(column[:, None] + runs[:, 1], 0, width - 1)]
-        base += np.clip(column[:, None] + runs[:, 2], 0, width - 1)
-        base += 1
-        count = cells.starts[base]
-        del base
-        count -= lo
-        found = _runs(lo.ravel(), count.ravel(), np.repeat(todo, runs.shape[0]))
-        if found is None:
-            continue
-        at, who, first = found
-        d2 = cells.bx[at]
-        d2 -= probes[who, 0]
-        d2 *= d2
-        dy = cells.by[at]
-        dy -= probes[who, 1]
-        dy *= dy
-        d2 += dy
-        mine = who[first]
-        best2[mine] = np.minimum(best2[mine], np.minimum.reduceat(d2, first))
-        # Each probe's first candidate at its best distance, if one is.
-        hit = np.flatnonzero(d2 == best2[who])
-        hit = hit[_firsts(who[hit])]
-        best[who[hit]] = at[hit]
+    bound = edge + cells.side
+    far = best2 > bound * bound
+    if enough is not None:
+        far &= np.sqrt(best2) >= enough
+    far = np.flatnonzero(far)
+    first = probe_trial[far, None] * (width * width)
+    lo = cells.starts[first]
+    _scan(cells, probes, far, lo, cells.starts[first + width * width] - lo, best2, best)
+    return np.sqrt(best2, out=best2), cells.order[best]
 
 
 def _lattice_cells(
     bs: np.ndarray,
     bs_trial: np.ndarray,
-    offsets: np.ndarray,
     shifts: np.ndarray,
     spacing: float,
     radius: float,
@@ -721,7 +715,7 @@ def _lattice_cells(
     lead = 1 + max(0, math.ceil((reach - (half - 0.5) * spacing) / side))
     width = lead + math.ceil((reach + (half + 0.5) * spacing) / side) + 1
     corner = (shifts[:, :, 0] - (half + 0.5)) * spacing - lead * side
-    return _Cells(bs, bs_trial, offsets, corner, side, width), c, lead
+    return _Cells(bs, bs_trial, corner, side, width), c, lead
 
 
 def _lattice_scan(
@@ -734,9 +728,9 @@ def _lattice_scan(
     lead: int,
     margin: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_nearest_bs's first ring for every site of a probe lattice at once.
+    """_nearest_bs's 3 x 3 scan for every site of a probe lattice at once.
 
-    `x` and `y` hold the sites' offset x and y coordinates per trial
+    `x` and `y` hold the sites' x and y coordinates per trial
     (_probe_lattice) for the trials from `first_trial` on, c x c sites to a
     cell, and site (i, j) lies in cell (lead + i // c, lead + j // c)
     (_lattice_cells).  The sites of one cell share its candidates, so a
@@ -752,21 +746,23 @@ def _lattice_scan(
     width = cells.width
     t, column, row = np.indices((trials, per_axis, per_axis)).reshape(3, -1)
     own = ((first_trial + t) * width + lead + row) * width + lead + column
-    runs = _ring_runs(1)
-    lo = cells.starts[own[:, None] + (runs[:, 0] * width + runs[:, 1])]
-    count = cells.starts[own[:, None] + (runs[:, 0] * width + runs[:, 2] + 1)]
-    count -= lo
+    # A cell that holds no probe is not scanned: its sites' results go unread.
+    held = np.flatnonzero(inside.reshape(trials, per_axis, c, per_axis, c).any(axis=(2, 4)))
+    lo, count = _first_ring(cells, own[held])
     # Entry (a, b, k): site (a, b) of cell k.
     best2 = np.full((c, c, own.size), np.inf)
     best = np.zeros((c, c, own.size), dtype=np.int64)
-    found = _runs(lo.ravel(), count.ravel(), np.repeat(np.arange(own.size), runs.shape[0]))
+    found = _runs(lo.ravel(), count.ravel(), np.repeat(held, lo.shape[1]))
     if found is not None:
         at, who, first = found
         # Each candidate's distances along x to its cell's c site columns,
-        # and along y to its c site rows.
-        dx = x.reshape(-1, c)[(t * per_axis + column)[who]].T - cells.bx[at]
+        # and along y to its c site rows: (c, candidates) arrays in C
+        # order, so that the sums d2 below are too.
+        dx = np.take(x.reshape(-1, c).T, (t * per_axis + column)[who], axis=1)
+        dx -= cells.bx[at]
         dx *= dx
-        dy = y.reshape(-1, c)[(t * per_axis + row)[who]].T - cells.by[at]
+        dy = np.take(y.reshape(-1, c).T, (t * per_axis + row)[who], axis=1)
+        dy -= cells.by[at]
         dy *= dy
         d2 = dx[:, None, :] + dy[None, :, :]
         mine = who[first]
@@ -823,21 +819,19 @@ def _lattice_half(reach: float) -> float:
     return math.floor(reach) + 1 if math.isfinite(reach) else math.inf
 
 
-def _probe_lattice(
-    shifts: np.ndarray, spacing: float, radius: float, offsets: np.ndarray, count: int
-):
+def _probe_lattice(shifts: np.ndarray, spacing: float, radius: float, count: int):
     """The load sampler's probes: a square lattice in each trial's user disc.
 
     The lattice of spacing h is shifted in each trial by its uniform shift
     (a Cranley-Patterson rotation, SIAM J. Numer. Anal. 1976), so any
     region of area A holds A / h^2 probes on average and the probes, each
     standing for lambda_u h^2 users, count its users without bias.  Each
-    trial of `offsets` (shifts[:, t] being trial t's) has `count` site
+    trial of `shifts` (shifts[:, t] being trial t's) has `count` site
     columns and rows from -half, at least the 2 * half that can reach the
-    disc.  Returns the probes, offset along x like the BSs, each probe's
-    trial (its index into `offsets`) and distance to its trial centre, the
-    sites' offset x and y coordinates per trial, and the mask of the sites
-    that are probes, whose order (C order) the probes follow.
+    disc.  Returns the probes, each in its trial's frame like the BSs, each
+    probe's trial (its index into `shifts`) and distance to its trial
+    centre, the sites' x and y coordinates per trial, and the mask of the
+    sites that are probes, whose order (C order) the probes follow.
     """
     half = _lattice_half(radius / spacing)
     sites = np.arange(-half, count - half)
@@ -846,7 +840,6 @@ def _probe_lattice(
     y = (sites + shifts[1]) * spacing
     r2 = x[:, :, None] ** 2 + y[:, None, :] ** 2
     inside = r2 <= radius * radius
-    x += offsets[:, None]
     trial, i, j = np.nonzero(inside)
     probes = np.empty((trial.size, 2))
     probes[:, 0] = x[trial, i]
@@ -878,9 +871,9 @@ def _load_job(params: ScenarioParams, trials: int, seed: int) -> _Job:
 def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstimates:
     """Users per BS under both association rules, both tiers, from one pass.
 
-    Trials are laid out side by side on a line with a spacing that keeps
-    them geometrically independent, so every probe's nearest BS lies in its
-    own trial (_nearest_bs); the searches do not depend on the rule, so one
+    Each trial lies in its own frame about its centre, and a probe's
+    nearest BS is searched for among its own trial's BSs alone
+    (_nearest_bs); the searches do not depend on the rule, so one
     realization of BSs and lattice probes serves both.  Both BS processes
     and every trial's lattice shift are drawn first, and each tier's BSs
     are sorted into their cells (_lattice_cells), which then stand in for
@@ -918,8 +911,8 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
         raise ValueError(f"seed must be >= 0, got {seed}")
     geo = _load_regions(params)
     rng = _rng(seed, _TAG_LOAD)
-    offsets = np.arange(trials) * geo["spacing"]
-    margin = _LOOKUP_MARGIN * geo["spacing"]
+    extent = max(geo["r_bs"].values())
+    margin = _LOOKUP_MARGIN * extent
     rules = ("power", "nearest")
 
     def sample_process(name: str, density: float, radius: float):
@@ -932,7 +925,7 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
             )
         counts = rng.poisson(mean, trials)
         total = int(counts.sum())
-        # Distance from the trial centre, before offsetting.
+        # Distance from the trial centre.
         radial = np.sqrt(rng.random(total))
         radial *= radius
         theta = rng.random(total)
@@ -943,7 +936,6 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
         pts = np.empty((total, 2))
         np.multiply(np.cos(theta), radial, out=pts[:, 0])
         np.multiply(np.sin(theta, out=theta), radial, out=pts[:, 1])
-        pts[:, 0] += np.repeat(offsets, counts)
         return pts, counts, radial
 
     bs = {}
@@ -972,8 +964,8 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
     for tier, info in bs.items():
         if info is not None:
             info["cells"], info["c"], info["lead"] = _lattice_cells(
-                info.pop("pts"), np.repeat(np.arange(trials), info.pop("counts")), offsets,
-                shifts, spacing, geo["r_user"], tier_params(params, tier).density,
+                info.pop("pts"), np.repeat(np.arange(trials), info.pop("counts")), shifts,
+                spacing, geo["r_user"], tier_params(params, tier).density,
                 geo["r_bs"][tier],
             )
     macro, small = bs[Tier.MACRO], bs[Tier.SMALL]
@@ -988,7 +980,7 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
     for start in range(0, trials, _LOAD_BLOCK):
         block = slice(start, min(start + _LOAD_BLOCK, trials))
         probes, probe_trial, probe_radial, x, y, inside = _probe_lattice(
-            shifts[:, block], spacing, geo["r_user"], offsets[block], sites
+            shifts[:, block], spacing, geo["r_user"], sites
         )
         n_probes += probes.shape[0]
         first_ring = _lattice_scan(
@@ -1005,7 +997,7 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
         if small is not None:
             asked = np.flatnonzero(
                 _needs_small_lookup(
-                    d_m, macro_in, probe_radial, geo["picks"][Tier.SMALL], geo["spacing"]
+                    d_m, macro_in, probe_radial, geo["picks"][Tier.SMALL], extent
                 )
             )
         small_lookups += asked.size

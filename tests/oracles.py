@@ -238,14 +238,29 @@ def own_tier_load_regions(params) -> dict:
         picks[tier] = 2.0 / math.sqrt(math.pi * lam)
     r_user = max(picks[t] + tails[t] for t in picks)
     r_bs = {t: r_user + tails[t] for t in tails}
-    return {"picks": picks, "r_user": r_user, "r_bs": r_bs, "spacing": 4.0 * max(r_bs.values())}
+    return {"picks": picks, "r_user": r_user, "r_bs": r_bs}
 
 
-def kd_tree_nearest(points, queries):
-    """Each query's nearest point by scipy's KD-tree: its distance and row."""
+def kd_tree_nearest(points, point_trial, queries, query_trial):
+    """Each query's nearest point of its own trial by scipy's KD-tree, one
+    tree per trial: its distance and its row of `points`."""
     from scipy.spatial import cKDTree
 
-    return cKDTree(points).query(queries, k=1)
+    distance = np.empty(queries.shape[0])
+    row = np.empty(queries.shape[0], dtype=np.int64)
+    for t in np.unique(query_trial):
+        mine = np.flatnonzero(point_trial == t)
+        asked = query_trial == t
+        distance[asked], nearest = cKDTree(points[mine]).query(queries[asked], k=1)
+        row[asked] = mine[nearest]
+    return distance, row
+
+
+def _line_offsets(geo: dict, trials: int):
+    """Each trial's offset along x when trials lie side by side on a line,
+    4 max r_bs apart: every point's nearest BS of one KD-tree per tier then
+    lies in its own trial."""
+    return np.arange(trials) * (4.0 * max(geo["r_bs"].values()))
 
 
 def _bs_tiers(params, trials: int, rng, geo: dict, offsets):
@@ -333,7 +348,7 @@ def _user_realization(params, trials: int, seed: int, geo: dict):
     small-cell BS wins.
     """
     rng = _rng(seed, _TAG_LOAD)
-    offsets = np.arange(trials) * geo["spacing"]
+    offsets = _line_offsets(geo, trials)
     bs = _bs_tiers(params, trials, rng, geo, offsets)
     users, _, user_radial = _poisson_discs(rng, trials, offsets, params.user_density, geo["r_user"])
     index, small_wins_by_rule = _lookups(params, bs, users)
@@ -393,7 +408,7 @@ def unpruned_mean_loads(params, trials: int, seed: int):
     """
     geo = _load_regions(params)
     rng = _rng(seed, _TAG_LOAD)
-    offsets = np.arange(trials) * geo["spacing"]
+    offsets = _line_offsets(geo, trials)
     bs = _bs_tiers(params, trials, rng, geo, offsets)
     probes, users_per_probe = _shifted_lattice(
         rng, trials, offsets, params.user_density, geo["r_user"]

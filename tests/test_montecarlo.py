@@ -730,40 +730,44 @@ def test_empirical_load_probe_conservation(monkeypatch):
     # Under each rule, in every realization, the probes assigned to that
     # realization's BSs add up exactly to the probes drawn in it: each probe
     # is served once, by a BS of its own trial.  A spy on the cell search
-    # records the probes of each search and the BSs it found; the macro
-    # searches are the ones given a bound to stop at.
+    # records the probes of each search, their trials and the trials of the
+    # BSs it found; the macro searches are the ones given a bound to stop at.
     searches = []
     search = hetmec.montecarlo._nearest_bs
 
-    def spy(cells, probes, *args):
-        d, i = search(cells, probes, *args)
-        searches.append((len(args) > 2, _cell_bs(cells)[i], probes.copy(), d))
+    def spy(cells, probes, probe_trial, margin, enough=None, scanned=None):
+        d, i = search(cells, probes, probe_trial, margin, enough, scanned)
+        searches.append(
+            (enough is not None, _cell_bs_trial(cells)[i], probes.copy(), probe_trial.copy(), d)
+        )
         return d, i
 
     monkeypatch.setattr(hetmec.montecarlo, "_nearest_bs", spy)
     trials = 60
     loads = _load_estimates(DEFAULTS, trials=trials, seed=23)
-    (macro_bs, probes, d_m), (small_bs, asked_probes, d_s_asked) = (
-        [np.concatenate([found[k] for found in searches if found[0] is macro]) for k in (1, 2, 3)]
+    macro_search, small_search = (
+        [np.concatenate([found[k] for found in searches if found[0] is macro]) for k in range(1, 5)]
         for macro in (True, False)
     )
+    macro_trial, probes, probe_trial, d_m = macro_search
+    small_trial, asked_probes, asked_trial, d_s_asked = small_search
     assert probes.shape[0] == loads.probes
     assert asked_probes.shape[0] == loads.small_lookups
-    spacing = _load_regions(DEFAULTS)["spacing"]
 
-    def trial(points):
-        return np.rint(points[:, 0] / spacing).astype(np.int64)
+    def keys(trial, points):
+        return zip(trial.tolist(), points[:, 0].tolist(), points[:, 1].tolist())
 
-    row_of = {tuple(p): k for k, p in enumerate(probes)}
-    asked = np.array([row_of[tuple(p)] for p in asked_probes], dtype=np.int64)
+    row_of = {key: k for k, key in enumerate(keys(probe_trial, probes))}
+    asked = np.array([row_of[key] for key in keys(asked_trial, asked_probes)], dtype=np.int64)
     d_s = np.full(probes.shape[0], np.inf)
     d_s[asked] = d_s_asked
-    small_served = np.zeros_like(probes)
-    small_served[asked] = small_bs
-    drawn = np.bincount(trial(probes), minlength=trials)
+    small_served = np.zeros_like(probe_trial)
+    small_served[asked] = small_trial
+    drawn = np.bincount(probe_trial, minlength=trials)
     assert drawn.sum() == loads.probes and np.all(drawn > 0)
     for small_wins in (_power_rule_small_wins(DEFAULTS, d_m, d_s), d_s < d_m):
-        served_trial = np.where(small_wins, trial(small_served), trial(macro_bs))
+        served_trial = np.where(small_wins, small_served, macro_trial)
+        assert np.array_equal(served_trial, probe_trial)
         assert np.array_equal(np.bincount(served_trial, minlength=trials), drawn)
 
     # Loads weighted by BS density add back to the user density.
@@ -829,6 +833,14 @@ def _cell_bs(cells) -> np.ndarray:
     return bs
 
 
+def _cell_bs_trial(cells) -> np.ndarray:
+    """The trial of each BS of a cell index, in the rows they were given in."""
+    trial = np.empty(cells.order.size, dtype=np.int64)
+    cell = np.arange(cells.starts.size - 1)
+    trial[cells.order] = np.repeat(cell // cells.width**2, np.diff(cells.starts))
+    return trial
+
+
 @pytest.mark.parametrize("trials", [1, 30])
 @pytest.mark.parametrize("config", list(LOAD_CONFIGS))
 def test_cell_search_matches_kd_tree(config, trials, monkeypatch):
@@ -852,7 +864,9 @@ def test_cell_search_matches_kd_tree(config, trials, monkeypatch):
     _load_estimates(params_from_raw(raw), trials=trials, seed=51)
     assert any(enough is not None for *_, enough, _, _, _ in searches)
     for cells, probes, probe_trial, margin, enough, first_ring, d, i in searches:
-        want_d, want_i = kd_tree_nearest(_cell_bs(cells), probes)
+        want_d, want_i = kd_tree_nearest(
+            _cell_bs(cells), _cell_bs_trial(cells), probes, probe_trial
+        )
         for scanned in [None, first_ring]:
             if scanned is not None:
                 scanned = tuple(a.copy() for a in scanned)
@@ -878,38 +892,42 @@ def _edge_points(rng, n: int) -> np.ndarray:
 
 @pytest.mark.parametrize("bs_counts", [(40, 40, 1), (25,)])
 def test_cell_search_on_cell_edges_and_corners(bs_counts):
-    # BSs and probes on the edges and corners of unit cells, in trials 64
-    # apart: three trials, the last with one BS in a corner of its square,
-    # far from most of its probes; and a lone trial.  Every probe with one
-    # nearest BS gets the KD-tree's distance and BS, bit for bit; a probe
-    # with two is left out, as which of them a KD-tree returns is not
-    # specified.
+    # BSs and probes on the edges and corners of unit cells, every trial in
+    # one shared frame: three trials, the last with one BS in a corner of
+    # its square, farther from most of its probes than the other trials'
+    # BSs are; and a lone trial.  Every probe with one nearest BS in its
+    # trial gets the per-trial KD-tree's distance and BS, bit for bit, so a
+    # search that leaves its trial fails; a probe with two is left out, as
+    # which of them a KD-tree returns is not specified.
     rng = np.random.default_rng(7)
     trials = len(bs_counts)
-    offsets = np.arange(trials) * 64.0
     bs_trial = np.repeat(np.arange(trials), bs_counts)
     bs = _edge_points(rng, bs_trial.size)
     bs[bs_trial == 2] = 4.0
-    bs[:, 0] += offsets[bs_trial]
     probe_trial = np.repeat(np.arange(trials), 60)
     probes = _edge_points(rng, probe_trial.size)
-    probes[:, 0] += offsets[probe_trial]
     d2 = ((probes[:, None, :] - bs[None, :, :]) ** 2).sum(axis=2)
+    own = probe_trial[:, None] == bs_trial[None, :]
+    if trials > 1:
+        # Some probe's nearest BS of any trial lies in another trial.
+        assert np.any(~own[np.arange(probes.shape[0]), d2.argmin(axis=1)])
+    d2[~own] = np.inf
     single = np.count_nonzero(d2 == d2.min(axis=1, keepdims=True), axis=1) == 1
     assert np.count_nonzero(single) >= 0.8 * probes.shape[0]
     probes, probe_trial = probes[single], probe_trial[single]
     # Unit cells over [-4, 4]^2 in a ring of empty cells.
-    cells = hetmec.montecarlo._Cells(bs, bs_trial, offsets, np.full((2, trials), -5.0), 1.0, 10)
-    d, i = hetmec.montecarlo._nearest_bs(cells, probes, probe_trial, _LOOKUP_MARGIN * 64.0)
-    want_d, want_i = kd_tree_nearest(bs, probes)
+    cells = hetmec.montecarlo._Cells(bs, bs_trial, np.full((2, trials), -5.0), 1.0, 10)
+    d, i = hetmec.montecarlo._nearest_bs(cells, probes, probe_trial, _LOOKUP_MARGIN * 4.0)
+    want_d, want_i = kd_tree_nearest(bs, bs_trial, probes, probe_trial)
     assert np.array_equal(d, want_d) and np.array_equal(i, want_i)
 
 
 def test_load_stage_memory_peak():
     # The load stage keeps the probes of one block of trials at a time, and
     # its cells in place of the drawn BSs: at the validation's load
-    # realization its traced peak stays within the 9.9 MiB that its KD-tree
-    # search reached.
+    # realization its traced peak, cells and whole-trial pass included,
+    # stays within 9.0 MiB (about 8.5 MiB measured).  A block of 24 trials
+    # at cells of 0.7 BS spacings took 10.4 MiB.
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -921,7 +939,7 @@ def test_load_stage_memory_peak():
     finally:
         if started:
             tracemalloc.stop()
-    assert peak <= 9.9 * 2**20
+    assert peak <= 9.0 * 2**20
 
 
 def test_load_sampler_looks_up_few_small_cells():
@@ -990,12 +1008,12 @@ def test_joint_void_window_misses_no_counted_user(config):
 
 def test_small_lookup_bound_keeps_its_margin():
     # Users up to one margin below the bound rho - pick_small are looked up,
-    # so rounding of the offset coordinates cannot drop one whose in-region
-    # small BS wins; users whose nearest macro BS is in-region always are.
-    spacing, pick, rho = 25_000.0, 357.0, 3_000.0
-    margin = _LOOKUP_MARGIN * spacing
+    # so rounding of the coordinates cannot drop one whose in-region small
+    # BS wins; users whose nearest macro BS is in-region always are.
+    extent, pick, rho = 25_000.0, 357.0, 3_000.0
+    margin = _LOOKUP_MARGIN * extent
     edge = rho - pick
     d_m = np.array([edge, edge - 0.5 * margin, edge - 2.0 * margin, edge - 2.0 * margin])
     macro_interior = np.array([False, False, False, True])
-    got = _needs_small_lookup(d_m, macro_interior, np.full(4, rho), pick, spacing)
+    got = _needs_small_lookup(d_m, macro_interior, np.full(4, rho), pick, extent)
     assert got.tolist() == [True, True, False, True]
