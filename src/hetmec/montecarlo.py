@@ -32,11 +32,13 @@ own frame about its centre.  The users are counted by probes on a square
 lattice given one uniform shift per trial, each probe standing for
 lambda_u h^2 users of a lattice of spacing h: unbiased for the mean load,
 with no Poisson count noise.  Nearest BSs are found by an exact search in
-square cells of about one BS each, laid about each trial's centre
-(Bentley, Weide and Yao, ACM TOMS 1980): a probe scans the 3 x 3 cells
-about its own, and one that they cannot settle scans its whole trial once,
-which gives the distances and BSs of a KD-tree bit for bit; the probes
-are laid out and searched one block of trials at a time.  Every
+square cells of about one BS each, whole numbers of probe spacings laid on
+each trial's lattice (Bentley, Weide and Yao, ACM TOMS 1980): a probe scans
+the 3 x 3 cells about its own, the probes of one cell sharing its
+candidates, and one that they cannot settle scans its whole trial once,
+which gives the distances and BSs of a KD-tree bit for bit.  Both tiers
+are searched so, and the probes are laid out and searched one block of
+trials at a time.  Every
 probe's nearest macro BS is looked up, its nearest small-cell BS only
 where that can change a counted cell, and a macro lookup stops early once
 no counted cell can serve the probe; the skipped work cannot change any
@@ -111,9 +113,6 @@ _CELL_SIDE = 1.0
 # Trials whose probes the load sampler lays out and searches at a time: at
 # 12 the whole-trial pass's candidate arrays stay small beside the cells.
 _LOAD_BLOCK = 12
-# The 3 x 3 cells about a cell, as three runs along x: the rows below, at,
-# and above it, each from one column left of it to one right.
-_FIRST_RING = np.array([-1, 0, 1])
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -548,32 +547,40 @@ def _runs(lo: np.ndarray, count: np.ndarray, owner: np.ndarray):
 
 
 class _Cells:
-    """The BSs of consecutive trials, counting-sorted into square cells.
+    """The BSs of consecutive trials, counting-sorted into square cells
+    aligned with a probe lattice.
 
     Each trial has its own frame about its centre.  Trial t's cell (m, n),
     0 <= m, n < width, covers the points of trial t whose coordinates lie in
-    corner[:, t] + side * ([m, m + 1) x [n, n + 1)).  No BS may lie in the
-    outermost ring of a trial's cells, so the 3 x 3 cells about any other
-    cell are cells of its trial.  Cell (t * width + n) * width + m holds the
-    BSs at sorted positions starts[c] .. starts[c + 1] - 1, so trial t's
-    BSs are those at starts[t * width^2] .. starts[(t + 1) * width^2] - 1,
-    with coordinates bx, by; the BS at sorted position k is row order[k] of
-    the BSs given.  The index holds one entry per BS and per cell, a few
-    per BS at about one BS a cell.
+    corner[:, t] + side * ([m, m + 1) x [n, n + 1)).  A cell holds c x c
+    sites of the trial's probe lattice, of spacing side / c: site column i
+    (_probe_lattice) lies in cell column lead + i // c, and likewise for
+    rows.  Every BS lies in a cell of its trial and no site in the
+    outermost ring, so the 3 x 3 cells about a site's cell are cells of
+    its trial.  Cell k = (t * width + n) * width + m holds the BSs at
+    sorted positions starts[k] .. starts[k + 1] - 1, so trial t's BSs are
+    those at starts[t * width^2] .. starts[(t + 1) * width^2] - 1, with
+    coordinates bx, by; the BS at sorted position j is row order[j] of the
+    BSs given.  The index holds one entry per BS and per cell, a few per BS
+    at about one BS a cell.
     """
 
-    def __init__(self, bs, bs_trial, corner, side: float, width: int):
-        self.corner = corner
+    def __init__(self, bs, bs_trial, corner, side: float, width: int, c: int, lead: int):
         self.side = side
         self.width = width
-        _, _, column, row = self.locate(bs, bs_trial)
+        self.c = c
+        self.lead = lead
+        # Each BS's position from its trial's corner, in cell sides.
+        u = bs[:, 0] - corner[0, bs_trial]
+        u /= side
+        v = bs[:, 1] - corner[1, bs_trial]
+        v /= side
         # Cell keys from 1, so that the running sum of the keys' counts
         # starts at 0.
         key = bs_trial * (width * width)
-        row *= width
-        key += row
-        key += column
-        del column, row
+        key += np.floor(v).astype(np.int64) * width
+        key += np.floor(u).astype(np.int64)
+        del u, v
         key += 1
         self.order = np.argsort(key, kind="stable")
         self.starts = np.bincount(key, minlength=corner.shape[1] * width * width + 1)
@@ -582,177 +589,66 @@ class _Cells:
         self.bx = bs[self.order, 0]
         self.by = bs[self.order, 1]
 
-    def locate(self, points: np.ndarray, trial: np.ndarray):
-        """Each point's position from its trial's corner, in cell sides,
-        and its cell's column and row, kept off the outermost ring."""
-        u = points[:, 0] - self.corner[0, trial]
-        u /= self.side
-        v = points[:, 1] - self.corner[1, trial]
-        v /= self.side
-        column = np.clip(np.floor(u), 1, self.width - 2).astype(np.int64)
-        row = np.clip(np.floor(v), 1, self.width - 2).astype(np.int64)
-        return u, v, column, row
-
-
-def _first_ring(cells: _Cells, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 3 x 3 cells about each cell of `own` as runs of sorted positions
-    (_FIRST_RING): each run's first position and its count, one row of
-    three runs per cell."""
-    rows = own[:, None] + _FIRST_RING * cells.width
-    lo = cells.starts[rows - 1]
-    count = cells.starts[rows + 2]
-    count -= lo
-    return lo, count
-
-
-def _scan(
-    cells: _Cells,
-    probes: np.ndarray,
-    todo: np.ndarray,
-    lo: np.ndarray,
-    count: np.ndarray,
-    best2: np.ndarray,
-    best: np.ndarray,
-) -> None:
-    """Scan runs of BSs for the probes `todo`, updating best2 and best.
-
-    Row k of `lo` and `count` holds probe todo[k]'s runs, run j being the
-    sorted positions lo[k, j] .. lo[k, j] + count[k, j] - 1.  Each probe's
-    best2 falls to its nearest candidate's squared distance, and if a
-    candidate lies at its best squared distance, its entry of best becomes
-    the sorted position of its first such candidate.
-    """
-    found = _runs(lo.ravel(), count.ravel(), np.repeat(todo, lo.shape[1]))
-    if found is None:
-        return
-    at, who, first = found
-    d2 = cells.bx[at]
-    d2 -= probes[who, 0]
-    d2 *= d2
-    dy = cells.by[at]
-    dy -= probes[who, 1]
-    dy *= dy
-    d2 += dy
-    mine = who[first]
-    best2[mine] = np.minimum(best2[mine], np.minimum.reduceat(d2, first))
-    # Each probe's first candidate at its best distance, if one is.
-    hit = np.flatnonzero(d2 == best2[who])
-    hit = hit[_firsts(who[hit])]
-    best[who[hit]] = at[hit]
-
 
 def _nearest_bs(
     cells: _Cells,
-    probes: np.ndarray,
-    probe_trial: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    probe: np.ndarray,
+    first_trial: int,
     margin: float,
     enough: np.ndarray | None = None,
-    scanned: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each probe's nearest BS in its own trial: its distance and its row.
 
-    The probes' trials must each hold a BS of `cells`.  A probe scans the
-    3 x 3 cells about its own.  No BS outside them is nearer than side + e,
-    e being the probe's distance to its own cell's edge, so only
-    a probe whose best squared distance still exceeds (side + e - margin)^2
-    scans every BS of its trial, in one pass; `margin` covers the rounding
-    of the coordinates.  At about one BS a cell few probes need that pass,
-    and the search takes expected constant time per probe (Bentley, Weide
-    and Yao, ACM TOMS 1980).  Distances are sqrt(dx^2 + dy^2), as scipy's
-    cKDTree takes them, so both give the same bits.  A probe whose best
-    distance over its 3 x 3 cells is below its entry of `enough` skips the
-    pass, keeping the best BS so far.  `scanned`, if given, holds each
-    probe's best squared distance and BS (sorted position) over its 3 x 3
-    cells, and e - margin (_lattice_scan); those cells are not scanned
-    again, and the first two arrays are updated in place.
+    The probes are the sites of a probe lattice that `probe` marks: x and y
+    hold the sites' x and y coordinates per trial (_probe_lattice) for the
+    trials of `cells` from `first_trial` on, probe[t, i, j] marks site
+    (x[t, i], y[t, j]), and the results follow the probes in C order.
+    Each probe's trial must hold a BS of `cells`.
+
+    A probe scans the 3 x 3 cells about its own.  The sites of one cell
+    share its candidates, so the scan runs per cell that holds a probe: a
+    candidate's squared distances to the cell's sites are the sums
+    dx^2 + dy^2 over the cell's c site columns and c rows.  No BS outside
+    those cells is nearer than side + e, e >= half a spacing being the
+    site's distance to its cell's edge, so only a probe whose best squared
+    distance still exceeds (side + e - margin)^2 scans every BS of its
+    trial, in one pass; `margin` covers the rounding of the coordinates.
+    At about one BS a cell few probes need that pass, and the search takes
+    expected constant time per probe (Bentley, Weide and Yao, ACM TOMS
+    1980).  Distances are sqrt(dx^2 + dy^2), as scipy's cKDTree takes them,
+    so both give the same bits.  A probe whose best distance over its
+    3 x 3 cells is below its entry of `enough` skips the pass, keeping the
+    best BS so far.
     """
-    width = cells.width
-    if scanned is None:
-        u, v, column, row = cells.locate(probes, probe_trial)
-        u -= column
-        v -= row
-        edge = np.minimum(np.minimum(u, 1.0 - u), np.minimum(v, 1.0 - v))
-        edge *= cells.side
-        edge -= margin
-        best2 = np.full(probes.shape[0], np.inf)
-        best = np.zeros(probes.shape[0], dtype=np.int64)
-        own = (probe_trial * width + row) * width + column
-        _scan(cells, probes, np.arange(probes.shape[0]), *_first_ring(cells, own), best2, best)
-    else:
-        best2, best, edge = scanned
-    bound = edge + cells.side
-    far = best2 > bound * bound
-    if enough is not None:
-        far &= np.sqrt(best2) >= enough
-    far = np.flatnonzero(far)
-    first = probe_trial[far, None] * (width * width)
-    lo = cells.starts[first]
-    _scan(cells, probes, far, lo, cells.starts[first + width * width] - lo, best2, best)
-    return np.sqrt(best2, out=best2), cells.order[best]
-
-
-def _lattice_cells(
-    bs: np.ndarray,
-    bs_trial: np.ndarray,
-    shifts: np.ndarray,
-    spacing: float,
-    radius: float,
-    density: float,
-    reach: float,
-) -> tuple[_Cells, int, int]:
-    """A tier's cells aligned with the probe lattice of spacing h: c x c
-    sites to a cell, c the whole number nearest _CELL_SIDE / (sqrt(lambda)
-    h) (at least 1), site column i of _probe_lattice lying in cell column
-    lead + i // c, and likewise for rows.  The cells cover each trial's
-    square of half-width `reach` inside their empty outer ring.  Returns
-    the cells, c and lead."""
-    half = _lattice_half(radius / spacing)
-    c = max(1, round(_CELL_SIDE / (math.sqrt(density) * spacing)))
-    side = c * spacing
-    # Site -half + s (s the shift) lies half a spacing inside the edge of
-    # column lead; lead - 1 columns reach -reach, and the last but one
-    # reaches +reach, whatever the shift.
-    lead = 1 + max(0, math.ceil((reach - (half - 0.5) * spacing) / side))
-    width = lead + math.ceil((reach + (half + 0.5) * spacing) / side) + 1
-    corner = (shifts[:, :, 0] - (half + 0.5)) * spacing - lead * side
-    return _Cells(bs, bs_trial, corner, side, width), c, lead
-
-
-def _lattice_scan(
-    cells: _Cells,
-    x: np.ndarray,
-    y: np.ndarray,
-    inside: np.ndarray,
-    first_trial: int,
-    c: int,
-    lead: int,
-    margin: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_nearest_bs's 3 x 3 scan for every site of a probe lattice at once.
-
-    `x` and `y` hold the sites' x and y coordinates per trial
-    (_probe_lattice) for the trials from `first_trial` on, c x c sites to a
-    cell, and site (i, j) lies in cell (lead + i // c, lead + j // c)
-    (_lattice_cells).  The sites of one cell share its candidates, so a
-    candidate's squared distances to them are the sums dx^2 + dy^2 over
-    the cell's c site columns and c rows, the terms _nearest_bs takes.
-    Returns _nearest_bs's `scanned` for the sites that `inside` marks, in
-    C order: each one's best squared distance and BS (sorted position) over
-    the 3 x 3 cells about its own, and its distance to its cell's edge
-    less `margin`.
-    """
+    c, width = cells.c, cells.width
     trials, sites = x.shape
+    # Whole cells of sites: the padding at the high end holds no probe, so
+    # the probes keep their C order.
+    pad = -sites % c
+    if pad:
+        sites += pad
+        x, y = (np.concatenate((a, np.zeros((trials, pad))), axis=1) for a in (x, y))
+        wide = np.zeros((trials, sites, sites), dtype=bool)
+        wide[:, :-pad, :-pad] = probe
+        probe = wide
     per_axis = sites // c
-    width = cells.width
     t, column, row = np.indices((trials, per_axis, per_axis)).reshape(3, -1)
-    own = ((first_trial + t) * width + lead + row) * width + lead + column
+    own = ((first_trial + t) * width + cells.lead + row) * width + cells.lead + column
     # A cell that holds no probe is not scanned: its sites' results go unread.
-    held = np.flatnonzero(inside.reshape(trials, per_axis, c, per_axis, c).any(axis=(2, 4)))
-    lo, count = _first_ring(cells, own[held])
+    held = np.flatnonzero(probe.reshape(trials, per_axis, c, per_axis, c).any(axis=(2, 4)))
+    # The 3 x 3 cells about each held cell as three runs of sorted
+    # positions: the rows below, at and above it, each from one column
+    # left of it to one right.
+    rows = own[held, None] + np.array([-width, 0, width])
+    lo = cells.starts[rows - 1]
+    count = cells.starts[rows + 2]
+    count -= lo
     # Entry (a, b, k): site (a, b) of cell k.
     best2 = np.full((c, c, own.size), np.inf)
     best = np.zeros((c, c, own.size), dtype=np.int64)
-    found = _runs(lo.ravel(), count.ravel(), np.repeat(held, lo.shape[1]))
+    found = _runs(lo.ravel(), count.ravel(), np.repeat(held, 3))
     if found is not None:
         at, who, first = found
         # Each candidate's distances along x to its cell's c site columns,
@@ -774,19 +670,74 @@ def _lattice_scan(
         site = hit // at.size * own.size + who[candidate]
         firsts = _firsts(site)
         best.reshape(-1)[site[firsts]] = at[candidate[firsts]]
+
+    def at_probes(a):
+        shape = (c, c, trials, per_axis, per_axis)
+        return a.reshape(shape).transpose(2, 3, 0, 4, 1).reshape(probe.shape)[probe]
+
+    best2, best = at_probes(best2), at_probes(best)
     # Site (i, j) is site (i % c, j % c) of its cell, half a spacing or
     # more from the cell's edge.
-    shape = (c, c, trials, per_axis, per_axis)
     rim = np.arange(sites) % c + 0.5
     rim = np.minimum(rim, c - rim)
     edge = np.minimum(rim[:, None], rim[None, :])
     edge *= cells.side / c
     edge -= margin
+    bound = np.broadcast_to(edge, probe.shape)[probe]
+    bound += cells.side
+    far = best2 > bound * bound
+    if enough is not None:
+        far &= np.sqrt(best2) >= enough
+    far = np.flatnonzero(far)
+    t, i, j = np.unravel_index(np.flatnonzero(probe)[far], probe.shape)
+    start = (first_trial + t) * (width * width)
+    lo = cells.starts[start]
+    found = _runs(lo, cells.starts[start + width * width] - lo, np.arange(far.size))
+    if found is not None:
+        # Every trial holds a BS, so run k is far probe k's.
+        at, who, first = found
+        d2 = cells.bx[at]
+        d2 -= x[t, i][who]
+        d2 *= d2
+        dy = cells.by[at]
+        dy -= y[t, j][who]
+        dy *= dy
+        d2 += dy
+        near2 = np.minimum(best2[far], np.minimum.reduceat(d2, first))
+        best2[far] = near2
+        # Each probe's first candidate at its best distance, if one is.
+        hit = np.flatnonzero(d2 == near2[who])
+        hit = hit[_firsts(who[hit])]
+        best[far[who[hit]]] = at[hit]
+    return np.sqrt(best2, out=best2), cells.order[best]
 
-    def at_probes(a):
-        return a.reshape(shape).transpose(2, 3, 0, 4, 1).reshape(inside.shape)[inside]
 
-    return at_probes(best2), at_probes(best), np.broadcast_to(edge, inside.shape)[inside]
+def _lattice_cells(
+    bs: np.ndarray,
+    bs_trial: np.ndarray,
+    shifts: np.ndarray,
+    spacing: float,
+    radius: float,
+    density: float,
+    reach: float,
+) -> _Cells:
+    """A tier's cells aligned with the probe lattice of spacing h: c x c
+    sites to a cell, c the whole number nearest _CELL_SIDE / (sqrt(lambda)
+    h) (at least 1), site column i of _probe_lattice lying in cell column
+    lead + i // c, and likewise for rows.  Inside their outer ring the
+    cells cover each trial's square of half-width `reach`, the radius of
+    its BS disc, and hold every site of the lattice padded at its high end
+    to whole cells (_nearest_bs)."""
+    half = _lattice_half(radius / spacing)
+    c = max(1, round(_CELL_SIDE / (math.sqrt(density) * spacing)))
+    side = c * spacing
+    # Site -half + s (s the shift) lies half a spacing inside the edge of
+    # column lead; lead - 1 columns reach -reach, and the last but one
+    # reaches +reach, whatever the shift.
+    lead = 1 + max(0, math.ceil((reach - (half - 0.5) * spacing) / side))
+    width = lead + math.ceil((reach + (half + 0.5) * spacing) / side) + 1
+    corner = (shifts[:, :, 0] - (half + 0.5)) * spacing - lead * side
+    return _Cells(bs, bs_trial, corner, side, width, c, lead)
 
 
 def _probe_shifts(
@@ -819,32 +770,28 @@ def _lattice_half(reach: float) -> float:
     return math.floor(reach) + 1 if math.isfinite(reach) else math.inf
 
 
-def _probe_lattice(shifts: np.ndarray, spacing: float, radius: float, count: int):
+def _probe_lattice(shifts: np.ndarray, spacing: float, radius: float):
     """The load sampler's probes: a square lattice in each trial's user disc.
 
     The lattice of spacing h is shifted in each trial by its uniform shift
     (a Cranley-Patterson rotation, SIAM J. Numer. Anal. 1976), so any
     region of area A holds A / h^2 probes on average and the probes, each
     standing for lambda_u h^2 users, count its users without bias.  Each
-    trial of `shifts` (shifts[:, t] being trial t's) has `count` site
-    columns and rows from -half, at least the 2 * half that can reach the
-    disc.  Returns the probes, each in its trial's frame like the BSs, each
+    trial of `shifts` (shifts[:, t] being trial t's) has the 2 * half site
+    columns and rows from -half that can reach the disc.  Returns each
     probe's trial (its index into `shifts`) and distance to its trial
-    centre, the sites' x and y coordinates per trial, and the mask of the
-    sites that are probes, whose order (C order) the probes follow.
+    centre, the sites' x and y coordinates per trial, each in its trial's
+    frame like the BSs, and the mask of the sites that are probes, whose
+    order (C order) the probes follow.
     """
     half = _lattice_half(radius / spacing)
-    sites = np.arange(-half, count - half)
+    sites = np.arange(-half, half)
     # Site coordinates of each trial, one row per trial.
     x = (sites + shifts[0]) * spacing
     y = (sites + shifts[1]) * spacing
     r2 = x[:, :, None] ** 2 + y[:, None, :] ** 2
     inside = r2 <= radius * radius
-    trial, i, j = np.nonzero(inside)
-    probes = np.empty((trial.size, 2))
-    probes[:, 0] = x[trial, i]
-    probes[:, 1] = y[trial, j]
-    return probes, trial, np.sqrt(r2[trial, i, j]), x, y, inside
+    return np.nonzero(inside)[0], np.sqrt(r2[inside]), x, y, inside
 
 
 @dataclass(frozen=True)
@@ -876,9 +823,10 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
     (_nearest_bs); the searches do not depend on the rule, so one
     realization of BSs and lattice probes serves both.  Both BS processes
     and every trial's lattice shift are drawn first, and each tier's BSs
-    are sorted into their cells (_lattice_cells), which then stand in for
-    the drawn coordinates.  The probes of _LOAD_BLOCK trials at a time are
-    then laid out (_probe_lattice), searched and booked to their BSs, and
+    are sorted into cells on the probe lattice (_lattice_cells), which then
+    stand in for the drawn coordinates.  The probes of _LOAD_BLOCK trials
+    at a time are then laid out (_probe_lattice), searched in each tier as
+    the lattice sites they are (_nearest_bs) and booked to their BSs, and
     only integer per-trial counts of the probes that in-region BSs serve
     outlive a block: the totals a sum over the BSs would give, exactly.
     The estimate is the ratio of the users counted by probes served by
@@ -963,14 +911,12 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
     shifts, spacing = _probe_shifts(rng, params.user_density, geo["r_user"], trials)
     for tier, info in bs.items():
         if info is not None:
-            info["cells"], info["c"], info["lead"] = _lattice_cells(
+            info["cells"] = _lattice_cells(
                 info.pop("pts"), np.repeat(np.arange(trials), info.pop("counts")), shifts,
                 spacing, geo["r_user"], tier_params(params, tier).density,
                 geo["r_bs"][tier],
             )
     macro, small = bs[Tier.MACRO], bs[Tier.SMALL]
-    # The lattice has whole macro cells of c x c sites.
-    sites = macro["c"] * -(-2 * _lattice_half(geo["r_user"] / spacing) // macro["c"])
     # A probe with a macro BS nearer than rho - out_pick is served out of
     # region whatever its nearest BS of either tier is.
     out_pick = max(geo["picks"].values()) + margin
@@ -979,35 +925,28 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
     small_lookups = 0
     for start in range(0, trials, _LOAD_BLOCK):
         block = slice(start, min(start + _LOAD_BLOCK, trials))
-        probes, probe_trial, probe_radial, x, y, inside = _probe_lattice(
-            shifts[:, block], spacing, geo["r_user"], sites
+        probe_trial, probe_radial, x, y, inside = _probe_lattice(
+            shifts[:, block], spacing, geo["r_user"]
         )
-        n_probes += probes.shape[0]
-        first_ring = _lattice_scan(
-            macro["cells"], x, y, inside, start, macro["c"], macro["lead"], margin
-        )
-        del x, y, inside
+        n_probes += probe_trial.size
         d_m, i_m = _nearest_bs(
-            macro["cells"], probes, probe_trial + start, margin, probe_radial - out_pick,
-            first_ring,
+            macro["cells"], x, y, inside, start, margin, probe_radial - out_pick
         )
-        del first_ring
         macro_in = macro["interior"][i_m]
         asked = np.zeros(0, dtype=np.int64)
         if small is not None:
-            asked = np.flatnonzero(
-                _needs_small_lookup(
-                    d_m, macro_in, probe_radial, geo["picks"][Tier.SMALL], extent
-                )
+            needed = _needs_small_lookup(
+                d_m, macro_in, probe_radial, geo["picks"][Tier.SMALL], extent
             )
+            asked = np.flatnonzero(needed)
         small_lookups += asked.size
         # A probe not asked about is served out of region whichever tier
         # wins, so it is booked to its macro BS under both rules.
         d_s, small_in = np.zeros(0), np.zeros(0, dtype=bool)
         if asked.size:
-            d_s, i_s = _nearest_bs(
-                small["cells"], probes[asked], probe_trial[asked] + start, margin
-            )
+            looked_up = np.zeros_like(inside)
+            looked_up[inside] = needed
+            d_s, i_s = _nearest_bs(small["cells"], x, y, looked_up, start, margin)
             small_in = small["interior"][i_s]
         d_m_asked = d_m[asked]
         small_wins_by_rule = {
@@ -1015,7 +954,7 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
             "nearest": d_s < d_m_asked,
         }
         for rule, small_wins in small_wins_by_rule.items():
-            macro_wins = np.ones(probes.shape[0], dtype=bool)
+            macro_wins = np.ones(probe_trial.size, dtype=bool)
             macro_wins[asked[small_wins]] = False
             macro_wins &= macro_in
             macro["served"][rule][block] += np.bincount(

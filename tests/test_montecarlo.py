@@ -735,11 +735,10 @@ def test_empirical_load_probe_conservation(monkeypatch):
     searches = []
     search = hetmec.montecarlo._nearest_bs
 
-    def spy(cells, probes, probe_trial, margin, enough=None, scanned=None):
-        d, i = search(cells, probes, probe_trial, margin, enough, scanned)
-        searches.append(
-            (enough is not None, _cell_bs_trial(cells)[i], probes.copy(), probe_trial.copy(), d)
-        )
+    def spy(cells, x, y, probe, first_trial, margin, enough=None):
+        d, i = search(cells, x, y, probe, first_trial, margin, enough)
+        probes, probe_trial = _lattice_probes(x, y, probe, first_trial)
+        searches.append((enough is not None, _cell_bs_trial(cells)[i], probes, probe_trial, d))
         return d, i
 
     monkeypatch.setattr(hetmec.montecarlo, "_nearest_bs", spy)
@@ -800,6 +799,8 @@ LOAD_CONFIGS = {
     # Tails of 1e-18: every window wider than the sampler's 1e-9 gives.
     "wide_window": ({}, math.log(1e18)),
     "no_small": ({"lambda_s_per_km2": 0.0}, None),
+    # Small cells of 7 x 7 probe sites beside macro cells of 4 x 4.
+    "coprime_small": ({"lambda_s_per_km2": 0.4}, None),
 }
 
 
@@ -841,37 +842,39 @@ def _cell_bs_trial(cells) -> np.ndarray:
     return trial
 
 
+def _lattice_probes(x, y, probe, first_trial: int):
+    """The probes that a cell search is given as lattice sites, as points,
+    and their trials: the sites that `probe` marks, in C order."""
+    t, i, j = np.nonzero(probe)
+    return np.column_stack((x[t, i], y[t, j])), first_trial + t
+
+
 @pytest.mark.parametrize("trials", [1, 30])
 @pytest.mark.parametrize("config", list(LOAD_CONFIGS))
 def test_cell_search_matches_kd_tree(config, trials, monkeypatch):
     # Every cell search of the load sampler, run to the end, gives each probe
-    # the distance and the BS that scipy's KD-tree gives, bit for bit, with
-    # and without the lattice's first ring; a search its bound stopped early
-    # kept a BS nearer than that bound.
+    # the distance and the BS that scipy's KD-tree gives, bit for bit; a
+    # search its bound stopped early kept a BS nearer than that bound.
     raw, tail_log = LOAD_CONFIGS[config]
     if tail_log is not None:
         monkeypatch.setattr(hetmec.montecarlo, "_LOAD_TAIL_LOG", tail_log)
     searches = []
     search = hetmec.montecarlo._nearest_bs
 
-    def spy(cells, probes, probe_trial, margin, enough=None, scanned=None):
-        first_ring = None if scanned is None else tuple(a.copy() for a in scanned)
-        d, i = search(cells, probes, probe_trial, margin, enough, scanned)
-        searches.append((cells, probes, probe_trial, margin, enough, first_ring, d, i))
+    def spy(cells, x, y, probe, first_trial, margin, enough=None):
+        d, i = search(cells, x, y, probe, first_trial, margin, enough)
+        searches.append((cells, x, y, probe, first_trial, margin, enough, d, i))
         return d, i
 
     monkeypatch.setattr(hetmec.montecarlo, "_nearest_bs", spy)
     _load_estimates(params_from_raw(raw), trials=trials, seed=51)
-    assert any(enough is not None for *_, enough, _, _, _ in searches)
-    for cells, probes, probe_trial, margin, enough, first_ring, d, i in searches:
+    assert any(enough is not None for *_, enough, _, _ in searches)
+    for cells, x, y, probe, first_trial, margin, enough, d, i in searches:
         want_d, want_i = kd_tree_nearest(
-            _cell_bs(cells), _cell_bs_trial(cells), probes, probe_trial
+            _cell_bs(cells), _cell_bs_trial(cells), *_lattice_probes(x, y, probe, first_trial)
         )
-        for scanned in [None, first_ring]:
-            if scanned is not None:
-                scanned = tuple(a.copy() for a in scanned)
-            got_d, got_i = search(cells, probes, probe_trial, margin, None, scanned)
-            assert np.array_equal(got_d, want_d) and np.array_equal(got_i, want_i)
+        got_d, got_i = search(cells, x, y, probe, first_trial, margin)
+        assert np.array_equal(got_d, want_d) and np.array_equal(got_i, want_i)
         early = (d != want_d) | (i != want_i)
         if enough is None:
             assert not early.any()
@@ -879,46 +882,65 @@ def test_cell_search_matches_kd_tree(config, trials, monkeypatch):
             assert np.all(d[early] < enough[early])
 
 
-def _edge_points(rng, n: int) -> np.ndarray:
-    """Points of [-4, 4]^2 on the edges of unit cells: one coordinate a
-    whole number, the other a whole number of 64ths, every fourth point a
-    corner; all exact in binary, as are their squared distances."""
-    on = rng.integers(-4, 5, n).astype(float)
+def _edge_points(rng, n: int, side: int) -> np.ndarray:
+    """Points of [-4, 4]^2 on the edges of cells of the given side: one
+    coordinate a whole number of sides, the other a whole number of 64ths,
+    every fourth point a corner; all exact in binary, as are their squared
+    distances to half-integer sites."""
+    on = rng.integers(-4 // side, 4 // side + 1, n) * float(side)
     along = rng.integers(-256, 257, n) / 64.0
-    along[::4] = np.rint(along[::4])
+    along[::4] = np.rint(along[::4] / side) * side
     swap = rng.random(n) < 0.5
     return np.where(swap[:, None], np.column_stack((along, on)), np.column_stack((on, along)))
 
 
+@pytest.mark.parametrize("c", [1, 2])
 @pytest.mark.parametrize("bs_counts", [(40, 40, 1), (25,)])
-def test_cell_search_on_cell_edges_and_corners(bs_counts):
-    # BSs and probes on the edges and corners of unit cells, every trial in
-    # one shared frame: three trials, the last with one BS in a corner of
-    # its square, farther from most of its probes than the other trials'
-    # BSs are; and a lone trial.  Every probe with one nearest BS in its
-    # trial gets the per-trial KD-tree's distance and BS, bit for bit, so a
-    # search that leaves its trial fails; a probe with two is left out, as
-    # which of them a KD-tree returns is not specified.
+def test_cell_search_on_cell_edges_and_corners(bs_counts, c):
+    # BSs on the edges and corners of cells of c x c sites of a unit lattice,
+    # every trial in one shared frame: three random trials, the last with one
+    # BS in a corner of its square, farther from most of its probes than the
+    # other trials' BSs are, and a fixed fourth; and a lone trial.  Seven
+    # sites a side, so at c = 2 the search pads the lattice to whole cells,
+    # and a random four in five of the sites are probes.  Every probe gets
+    # the per-trial KD-tree's distance and BS, bit for bit, so a search that
+    # leaves its trial fails.  A site with two nearest BSs in its trial is no
+    # probe, as which of them a KD-tree returns is not specified.
     rng = np.random.default_rng(7)
     trials = len(bs_counts)
     bs_trial = np.repeat(np.arange(trials), bs_counts)
-    bs = _edge_points(rng, bs_trial.size)
-    bs[bs_trial == 2] = 4.0
-    probe_trial = np.repeat(np.arange(trials), 60)
-    probes = _edge_points(rng, probe_trial.size)
-    d2 = ((probes[:, None, :] - bs[None, :, :]) ** 2).sum(axis=2)
-    own = probe_trial[:, None] == bs_trial[None, :]
+    bs = _edge_points(rng, bs_trial.size, c)
     if trials > 1:
-        # Some probe's nearest BS of any trial lies in another trial.
-        assert np.any(~own[np.arange(probes.shape[0]), d2.argmin(axis=1)])
+        bs[bs_trial == 2] = 4.0
+        # On the cell edge y = 0: the BS nearest the sites (1.5, +-0.5), at
+        # x = -0.25, lies in the cells that a site column shifted by padding
+        # at the low end would not scan at c = 2, and the other BS in the
+        # ones it would.
+        bs = np.concatenate((bs, [(-0.25, 0.0), (3.5, 0.0)]))
+        bs_trial = np.append(bs_trial, [3, 3])
+        trials += 1
+    x = np.tile(np.arange(-4, 3) + 0.5, (trials, 1))
+    y = x.copy()
+    everywhere = np.ones((trials, 7, 7), dtype=bool)
+    sites, site_trial = _lattice_probes(x, y, everywhere, 0)
+    d2 = ((sites[:, None, :] - bs[None, :, :]) ** 2).sum(axis=2)
+    own = site_trial[:, None] == bs_trial[None, :]
+    nearest_anywhere = d2.argmin(axis=1)
     d2[~own] = np.inf
     single = np.count_nonzero(d2 == d2.min(axis=1, keepdims=True), axis=1) == 1
-    assert np.count_nonzero(single) >= 0.8 * probes.shape[0]
-    probes, probe_trial = probes[single], probe_trial[single]
-    # Unit cells over [-4, 4]^2 in a ring of empty cells.
-    cells = hetmec.montecarlo._Cells(bs, bs_trial, np.full((2, trials), -5.0), 1.0, 10)
-    d, i = hetmec.montecarlo._nearest_bs(cells, probes, probe_trial, _LOOKUP_MARGIN * 4.0)
-    want_d, want_i = kd_tree_nearest(bs, bs_trial, probes, probe_trial)
+    assert np.count_nonzero(single) >= 0.8 * site_trial.size
+    probe = single & (rng.random(site_trial.size) < 0.8)
+    if trials > 1:
+        # Some probe's nearest BS of any trial lies in another trial.
+        assert np.any(~own[probe, nearest_anywhere[probe]])
+    probe = probe.reshape(everywhere.shape)
+    # Cells of side c over [-4, 4]^2 inside an outer ring, which holds the
+    # BSs on the square's right and top edges; the site at -3.5 is in
+    # column 1.
+    corner = np.full((2, trials), -4.0 - c)
+    cells = hetmec.montecarlo._Cells(bs, bs_trial, corner, float(c), 8 // c + 2, c, 1)
+    d, i = hetmec.montecarlo._nearest_bs(cells, x, y, probe, 0, _LOOKUP_MARGIN * 4.0)
+    want_d, want_i = kd_tree_nearest(bs, bs_trial, *_lattice_probes(x, y, probe, 0))
     assert np.array_equal(d, want_d) and np.array_equal(i, want_i)
 
 
@@ -926,7 +948,7 @@ def test_load_stage_memory_peak():
     # The load stage keeps the probes of one block of trials at a time, and
     # its cells in place of the drawn BSs: at the validation's load
     # realization its traced peak, cells and whole-trial pass included,
-    # stays within 9.0 MiB (about 8.5 MiB measured).  A block of 24 trials
+    # stays within 9.0 MiB (about 7.7 MiB measured).  A block of 24 trials
     # at cells of 0.7 BS spacings took 10.4 MiB.
     started = not tracemalloc.is_tracing()
     if started:
