@@ -35,10 +35,11 @@ with no Poisson count noise.  Nearest BSs are found by an exact search in
 square cells of about one BS each, whole numbers of probe spacings laid on
 each trial's lattice (Bentley, Weide and Yao, ACM TOMS 1980): a probe scans
 the 3 x 3 cells about its own, the probes of one cell sharing its
-candidates, and one that they cannot settle scans its whole trial once,
-which gives the distances and BSs of a KD-tree bit for bit.  Both tiers
-are searched so, and the probes are laid out and searched one block of
-trials at a time.  Every
+candidates, and one that they cannot settle scans its whole trial once.
+Both scans run one kernel (_scan), whose distances and first BS at the
+least one are those of a KD-tree bit for bit.  Both tiers are searched
+so, and the probes are laid out and searched one block of trials at a
+time.  Every
 probe's nearest macro BS is looked up, its nearest small-cell BS only
 where that can change a counted cell, and a macro lookup stops early once
 no counted cell can serve the probe; the skipped work cannot change any
@@ -498,7 +499,7 @@ def _needs_small_lookup(
     macro_interior: np.ndarray,
     user_radial: np.ndarray,
     pick_small: float,
-    extent: float,
+    margin: float,
 ) -> np.ndarray:
     """Users whose nearest small-cell BS can change an in-region cell count.
 
@@ -507,11 +508,11 @@ def _needs_small_lookup(
     is out of region and nearer than that, every in-region small BS loses to
     it under the nearest rule and, as P_m >= P_s, under the max-power rule:
     the user is served out of region whatever its nearest small BS is.  The
-    margin of 1e-6 `extent`s, the radius of a trial's widest BS disc, keeps
-    the bound clear of the rounding of coordinates up to `extent` from the
-    trial centre.
+    margin, _LOOKUP_MARGIN radii of a trial's widest BS disc, keeps the
+    bound clear of the rounding of coordinates that far from the trial
+    centre.
     """
-    bound = user_radial - (pick_small + _LOOKUP_MARGIN * extent)
+    bound = user_radial - (pick_small + margin)
     return macro_interior | (d_m >= bound)
 
 
@@ -523,27 +524,45 @@ def _firsts(groups: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def _runs(lo: np.ndarray, count: np.ndarray, owner: np.ndarray):
+def _runs(lo: np.ndarray, count: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The integers lo[k] .. lo[k] + count[k] - 1 of every run k, laid end
-    to end, with each one's owner[k] and where each owner's start, equal
-    owners being adjacent; None when every run is empty."""
-    filled = np.flatnonzero(count)
-    if filled.size == 0:
-        return None
-    lo, count, owner = lo[filled], count[filled], owner[filled]
-    ends = np.cumsum(count)
-    begin = ends - count
-    # Cumulative sums of the steps from each integer to the next.
-    at = np.ones(int(ends[-1]), dtype=np.int64)
-    at[0] = lo[0]
-    at[begin[1:]] = lo[1:] - lo[:-1] - count[:-1] + 1
-    np.cumsum(at, out=at)
-    step = owner.copy()
-    step[1:] -= owner[:-1]
-    who = np.zeros(at.size, dtype=np.int64)
-    who[begin] = step
-    np.cumsum(who, out=who)
-    return at, who, begin[_firsts(owner)]
+    to end, and each one's owner[k]."""
+    at = np.repeat(lo + count - np.cumsum(count), count)
+    at += np.arange(at.size)
+    return at, np.repeat(owner, count)
+
+
+def _scan(bx, by, x, column, y, row, lo, count, owner, best2, best) -> None:
+    """The nearest candidate BS to each site of some owners.
+
+    Owner k holds the c x c sites (x[a, column[k]], y[b, row[k]]), a, b < c,
+    and its candidates are the BSs, at bx and by, of the sorted positions
+    of its runs among (lo, count, owner) (_runs).  One owner's runs are
+    adjacent and ascending, so its first candidate at a distance is the
+    first sorted position at it.  Entry (a, b, k) of best2 and best becomes
+    site (a, b) of owner k's least dx^2 + dy^2 and the first sorted
+    position at it; an owner with no candidate keeps its entries.
+    """
+    at, who = _runs(lo, count, owner)
+    # Each candidate's distances along x to its owner's c site columns, and
+    # along y to its c site rows: (c, candidates) arrays in C order, so that
+    # the sums d2 below are too.
+    dx = np.take(x, column[who], axis=1)
+    dx -= bx[at]
+    dx *= dx
+    dy = np.take(y, row[who], axis=1)
+    dy -= by[at]
+    dy *= dy
+    d2 = dx[:, None, :] + dy[None, :, :]
+    first = _firsts(who)
+    best2[:, :, who[first]] = np.minimum.reduceat(d2, first, axis=2)
+    # Each site's first candidate at its best distance, the hits of one
+    # site being adjacent.
+    hit = np.flatnonzero(d2 == best2[:, :, who])
+    candidate = hit % at.size
+    site = hit // at.size * best2.shape[2] + who[candidate]
+    firsts = _firsts(site)
+    best.reshape(-1)[site[firsts]] = at[candidate[firsts]]
 
 
 class _Cells:
@@ -617,10 +636,12 @@ def _nearest_bs(
     trial, in one pass; `margin` covers the rounding of the coordinates.
     At about one BS a cell few probes need that pass, and the search takes
     expected constant time per probe (Bentley, Weide and Yao, ACM TOMS
-    1980).  Distances are sqrt(dx^2 + dy^2), as scipy's cKDTree takes them,
-    so both give the same bits.  A probe whose best distance over its
-    3 x 3 cells is below its entry of `enough` skips the pass, keeping the
-    best BS so far.
+    1980).  Both passes run _scan: the 3 x 3 scan on the held cells, each
+    with three runs, and the pass on each probe alone, with one run.
+    Distances are sqrt(dx^2 + dy^2), as scipy's cKDTree takes them, so
+    both give the same bits.  A probe whose best distance over its 3 x 3
+    cells is below its entry of `enough` skips the pass, keeping the best
+    BS so far.
     """
     c, width = cells.c, cells.width
     trials, sites = x.shape
@@ -648,28 +669,11 @@ def _nearest_bs(
     # Entry (a, b, k): site (a, b) of cell k.
     best2 = np.full((c, c, own.size), np.inf)
     best = np.zeros((c, c, own.size), dtype=np.int64)
-    found = _runs(lo.ravel(), count.ravel(), np.repeat(held, 3))
-    if found is not None:
-        at, who, first = found
-        # Each candidate's distances along x to its cell's c site columns,
-        # and along y to its c site rows: (c, candidates) arrays in C
-        # order, so that the sums d2 below are too.
-        dx = np.take(x.reshape(-1, c).T, (t * per_axis + column)[who], axis=1)
-        dx -= cells.bx[at]
-        dx *= dx
-        dy = np.take(y.reshape(-1, c).T, (t * per_axis + row)[who], axis=1)
-        dy -= cells.by[at]
-        dy *= dy
-        d2 = dx[:, None, :] + dy[None, :, :]
-        mine = who[first]
-        best2[:, :, mine] = np.minimum.reduceat(d2, first, axis=2)
-        # Each site's first candidate at its best distance, the hits of one
-        # site being adjacent.
-        hit = np.flatnonzero(d2 == best2[:, :, who])
-        candidate = hit % at.size
-        site = hit // at.size * own.size + who[candidate]
-        firsts = _firsts(site)
-        best.reshape(-1)[site[firsts]] = at[candidate[firsts]]
+    t *= per_axis
+    _scan(
+        cells.bx, cells.by, x.reshape(-1, c).T, t + column, y.reshape(-1, c).T, t + row,
+        lo.ravel(), count.ravel(), np.repeat(held, 3), best2, best,
+    )
 
     def at_probes(a):
         shape = (c, c, trials, per_axis, per_axis)
@@ -692,23 +696,16 @@ def _nearest_bs(
     t, i, j = np.unravel_index(np.flatnonzero(probe)[far], probe.shape)
     start = (first_trial + t) * (width * width)
     lo = cells.starts[start]
-    found = _runs(lo, cells.starts[start + width * width] - lo, np.arange(far.size))
-    if found is not None:
-        # Every trial holds a BS, so run k is far probe k's.
-        at, who, first = found
-        d2 = cells.bx[at]
-        d2 -= x[t, i][who]
-        d2 *= d2
-        dy = cells.by[at]
-        dy -= y[t, j][who]
-        dy *= dy
-        d2 += dy
-        near2 = np.minimum(best2[far], np.minimum.reduceat(d2, first))
-        best2[far] = near2
-        # Each probe's first candidate at its best distance, if one is.
-        hit = np.flatnonzero(d2 == near2[who])
-        hit = hit[_firsts(who[hit])]
-        best[far[who[hit]]] = at[hit]
+    # Each far probe is an owner of one site, whose one run is every BS of
+    # its trial, its 3 x 3 candidates among them.
+    near2, near = best2[far], best[far]
+    t *= sites
+    _scan(
+        cells.bx, cells.by, x.reshape(1, -1), t + i, y.reshape(1, -1), t + j,
+        lo, cells.starts[start + width * width] - lo, np.arange(far.size),
+        near2.reshape(1, 1, -1), near.reshape(1, 1, -1),
+    )
+    best2[far], best[far] = near2, near
     return np.sqrt(best2, out=best2), cells.order[best]
 
 
@@ -859,8 +856,7 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
         raise ValueError(f"seed must be >= 0, got {seed}")
     geo = _load_regions(params)
     rng = _rng(seed, _TAG_LOAD)
-    extent = max(geo["r_bs"].values())
-    margin = _LOOKUP_MARGIN * extent
+    margin = _LOOKUP_MARGIN * max(geo["r_bs"].values())
     rules = ("power", "nearest")
 
     def sample_process(name: str, density: float, radius: float):
@@ -936,7 +932,7 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
         asked = np.zeros(0, dtype=np.int64)
         if small is not None:
             needed = _needs_small_lookup(
-                d_m, macro_in, probe_radial, geo["picks"][Tier.SMALL], extent
+                d_m, macro_in, probe_radial, geo["picks"][Tier.SMALL], margin
             )
             asked = np.flatnonzero(needed)
         small_lookups += asked.size

@@ -900,9 +900,10 @@ def test_cell_search_on_cell_edges_and_corners(bs_counts, c):
     # BSs on the edges and corners of cells of c x c sites of a unit lattice,
     # every trial in one shared frame: three random trials, the last with one
     # BS in a corner of its square, farther from most of its probes than the
-    # other trials' BSs are, and a fixed fourth; and a lone trial.  Seven
-    # sites a side, so at c = 2 the search pads the lattice to whole cells,
-    # and a random four in five of the sites are probes.  Every probe gets
+    # other trials' BSs are, and a fixed fourth and fifth; and a lone trial.
+    # Seven sites a side, so at c = 2 the search pads the lattice to whole
+    # cells, and a random four in five of the sites are probes, every site
+    # of the fifth trial with one nearest BS among them.  Every probe gets
     # the per-trial KD-tree's distance and BS, bit for bit, so a search that
     # leaves its trial fails.  A site with two nearest BSs in its trial is no
     # probe, as which of them a KD-tree returns is not specified.
@@ -916,9 +917,15 @@ def test_cell_search_on_cell_edges_and_corners(bs_counts, c):
         # x = -0.25, lies in the cells that a site column shifted by padding
         # at the low end would not scan at c = 2, and the other BS in the
         # ones it would.
-        bs = np.concatenate((bs, [(-0.25, 0.0), (3.5, 0.0)]))
-        bs_trial = np.append(bs_trial, [3, 3])
-        trials += 1
+        # The fifth trial: the nearest BS to the site (-0.5, -0.5), on the
+        # cell edge x = c, lies just outside the site's 3 x 3 cells, and the
+        # other, 1.25 c sqrt(2) from it, inside them, so a bound that let
+        # the 3 x 3 scan settle probes up to three cell sides away would
+        # keep the farther one.
+        inner = -0.5 - 1.25 * c
+        bs = np.concatenate((bs, [(-0.25, 0.0), (3.5, 0.0), (c, -0.5), (inner, inner)]))
+        bs_trial = np.append(bs_trial, [3, 3, 4, 4])
+        trials += 2
     x = np.tile(np.arange(-4, 3) + 0.5, (trials, 1))
     y = x.copy()
     everywhere = np.ones((trials, 7, 7), dtype=bool)
@@ -929,7 +936,7 @@ def test_cell_search_on_cell_edges_and_corners(bs_counts, c):
     d2[~own] = np.inf
     single = np.count_nonzero(d2 == d2.min(axis=1, keepdims=True), axis=1) == 1
     assert np.count_nonzero(single) >= 0.8 * site_trial.size
-    probe = single & (rng.random(site_trial.size) < 0.8)
+    probe = single & ((rng.random(site_trial.size) < 0.8) | (site_trial == 4))
     if trials > 1:
         # Some probe's nearest BS of any trial lies in another trial.
         assert np.any(~own[probe, nearest_anywhere[probe]])
@@ -942,6 +949,50 @@ def test_cell_search_on_cell_edges_and_corners(bs_counts, c):
     d, i = hetmec.montecarlo._nearest_bs(cells, x, y, probe, 0, _LOOKUP_MARGIN * 4.0)
     want_d, want_i = kd_tree_nearest(bs, bs_trial, *_lattice_probes(x, y, probe, 0))
     assert np.array_equal(d, want_d) and np.array_equal(i, want_i)
+
+
+def _scan_by_loop(bx, by, x, column, y, row, lo, count, owner, best2, best):
+    """_scan's contract, one owner, site and candidate at a time."""
+    c = x.shape[0]
+    for k in range(best2.shape[2]):
+        mine = [p for r in range(lo.size) if owner[r] == k for p in range(lo[r], lo[r] + count[r])]
+        if not mine:
+            continue
+        for a, b in itertools.product(range(c), repeat=2):
+            d2 = [(x[a, column[k]] - bx[p]) ** 2 + (y[b, row[k]] - by[p]) ** 2 for p in mine]
+            best2[a, b, k] = min(d2)
+            best[a, b, k] = mine[d2.index(min(d2))]
+
+
+@pytest.mark.parametrize("c", [1, 3])
+def test_scan_matches_a_plain_loop(c):
+    # The scan kernel of both passes of the cell search, against a loop over
+    # owners, sites and candidates: owners of c x c sites with several runs
+    # each, empty runs first, between and last, an owner whose only run is
+    # empty, and two candidates exactly at one site, in different runs of
+    # its owner.  Coordinates are whole 16ths, so every squared distance is
+    # exact and ties are real.
+    rng = np.random.default_rng(3)
+    bx, by = rng.integers(-48, 49, (2, 40)) / 16.0
+    x, y = rng.integers(-48, 49, (2, c, 6)) / 16.0
+    column = np.array([4, 0, 5, 2, 0])
+    row = np.array([1, 3, 0, 5, 2])
+    lo = np.array([7, 0, 9, 30, 2, 12, 22, 14, 17, 0, 5, 39])
+    count = np.array([0, 3, 1, 0, 4, 0, 5, 0, 3, 5, 1, 0])
+    owner = np.array([0, 0, 0, 1, 2, 2, 2, 3, 3, 4, 4, 4])
+    # The candidates at sorted positions 1 and 9 sit at owner 0's site (0, 0).
+    bx[[1, 9]], by[[1, 9]] = x[0, column[0]], y[0, row[0]]
+    at, who = hetmec.montecarlo._runs(lo, count, owner)
+    runs = [(p, k) for r, k in enumerate(owner) for p in range(lo[r], lo[r] + count[r])]
+    assert list(zip(at.tolist(), who.tolist())) == runs
+    got2 = np.full((c, c, 5), -1.0)
+    got = np.full((c, c, 5), -7)
+    want2, want = got2.copy(), got.copy()
+    hetmec.montecarlo._scan(bx, by, x, column, y, row, lo, count, owner, got2, got)
+    _scan_by_loop(bx, by, x, column, y, row, lo, count, owner, want2, want)
+    assert np.array_equal(got2, want2) and np.array_equal(got, want)
+    assert np.all(got2[:, :, 1] == -1.0) and np.all(got[:, :, 1] == -7)
+    assert (got2[0, 0, 0], got[0, 0, 0]) == (0.0, 1)
 
 
 def test_load_stage_memory_peak():
@@ -1037,5 +1088,5 @@ def test_small_lookup_bound_keeps_its_margin():
     edge = rho - pick
     d_m = np.array([edge, edge - 0.5 * margin, edge - 2.0 * margin, edge - 2.0 * margin])
     macro_interior = np.array([False, False, False, True])
-    got = _needs_small_lookup(d_m, macro_interior, np.full(4, rho), pick, extent)
+    got = _needs_small_lookup(d_m, macro_interior, np.full(4, rho), pick, margin)
     assert got.tolist() == [True, True, False, True]
