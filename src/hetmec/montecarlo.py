@@ -38,12 +38,11 @@ the 3 x 3 cells about its own, the probes of one cell sharing its
 candidates, and one that they cannot settle scans its whole trial once.
 Both scans run one kernel (_scan), whose distances and first BS at the
 least one are those of a KD-tree bit for bit.  Both tiers are searched
-so, and the probes are laid out and searched one block of trials at a
-time.  Every
-probe's nearest macro BS is looked up, its nearest small-cell BS only
-where that can change a counted cell, and a macro lookup stops early once
-no counted cell can serve the probe; the skipped work cannot change any
-estimate.
+so, one block of trials at a time: the block's probes are laid out and
+its BSs sorted into cells, which are dropped once the block's probes are
+booked.  Every probe's nearest macro BS is looked up, its nearest
+small-cell BS only where that can change a counted cell; the skipped
+lookups cannot change any estimate.
 
 The law's fields mirror two modeling conventions of the analytic side
 (they are assumptions of the model, not artifacts of this sampler):
@@ -111,8 +110,9 @@ _MAX_LOAD_POINTS = float(1 << 25)
 # per cell, so a probe's 3 x 3 cells hold about 9 candidates and few probes
 # need the pass over their whole trial.
 _CELL_SIDE = 1.0
-# Trials whose probes the load sampler lays out and searches at a time: at
-# 12 the whole-trial pass's candidate arrays stay small beside the cells.
+# Trials whose probes and cells the load sampler lays out and searches at a
+# time: at 12 the cells and the whole-trial pass's candidate arrays stay
+# small.
 _LOAD_BLOCK = 12
 
 
@@ -148,8 +148,16 @@ def _run_jobs(jobs: list[_Job]) -> list:
     it gives run alone, for any thread count.  Once a batch raises no
     further batch is claimed, and when every thread has stopped the
     exception is re-raised as it was.  A batch that calls _run_jobs gets a
-    pool of its own.
+    pool of its own.  Before the batches run, one 4 MiB block is allocated
+    and freed for glibc's malloc (below).
     """
+    # glibc maps each block above its mmap threshold (128 KiB at start)
+    # afresh, so its pages fault in on every use, and raises that threshold,
+    # and the trim threshold to twice it, to the size of a mapped block once
+    # one is freed (mallopt(3)).  Freeing 4 MiB here keeps the coverage
+    # batches' arrays of up to a few MB on the heap, where their pages are
+    # reused; other allocators just free the block.
+    np.empty(1 << 22, dtype=np.uint8)
     tasks = [(job.batch, index) for job in jobs for index in range(job.count)]
     results = [None] * len(tasks)
     lock = threading.Lock()
@@ -566,10 +574,11 @@ def _scan(bx, by, x, column, y, row, lo, count, owner, best2, best) -> None:
 
 
 class _Cells:
-    """The BSs of consecutive trials, counting-sorted into square cells
-    aligned with a probe lattice.
+    """The BSs of one block of trials, counting-sorted into square cells
+    aligned with the block's probe lattice.
 
-    Each trial has its own frame about its centre.  Trial t's cell (m, n),
+    Each trial has its own frame about its centre, and trials are counted
+    from the block's first.  Trial t's cell (m, n),
     0 <= m, n < width, covers the points of trial t whose coordinates lie in
     corner[:, t] + side * ([m, m + 1) x [n, n + 1)).  A cell holds c x c
     sites of the trial's probe lattice, of spacing side / c: site column i
@@ -581,7 +590,7 @@ class _Cells:
     those at starts[t * width^2] .. starts[(t + 1) * width^2] - 1, with
     coordinates bx, by; the BS at sorted position j is row order[j] of the
     BSs given.  The index holds one entry per BS and per cell, a few per BS
-    at about one BS a cell.
+    at about one BS a cell, and lives as long as its block's searches.
     """
 
     def __init__(self, bs, bs_trial, corner, side: float, width: int, c: int, lead: int):
@@ -610,21 +619,15 @@ class _Cells:
 
 
 def _nearest_bs(
-    cells: _Cells,
-    x: np.ndarray,
-    y: np.ndarray,
-    probe: np.ndarray,
-    first_trial: int,
-    margin: float,
-    enough: np.ndarray | None = None,
+    cells: _Cells, x: np.ndarray, y: np.ndarray, probe: np.ndarray, margin: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each probe's nearest BS in its own trial: its distance and its row.
 
     The probes are the sites of a probe lattice that `probe` marks: x and y
     hold the sites' x and y coordinates per trial (_probe_lattice) for the
-    trials of `cells` from `first_trial` on, probe[t, i, j] marks site
-    (x[t, i], y[t, j]), and the results follow the probes in C order.
-    Each probe's trial must hold a BS of `cells`.
+    trials of `cells`, probe[t, i, j] marks site (x[t, i], y[t, j]), and the
+    results follow the probes in C order.  Each probe's trial must hold a
+    BS of `cells`.
 
     A probe scans the 3 x 3 cells about its own.  The sites of one cell
     share its candidates, so the scan runs per cell that holds a probe: a
@@ -639,9 +642,7 @@ def _nearest_bs(
     1980).  Both passes run _scan: the 3 x 3 scan on the held cells, each
     with three runs, and the pass on each probe alone, with one run.
     Distances are sqrt(dx^2 + dy^2), as scipy's cKDTree takes them, so
-    both give the same bits.  A probe whose best distance over its 3 x 3
-    cells is below its entry of `enough` skips the pass, keeping the best
-    BS so far.
+    both give the same bits: every search returns the exact nearest BS.
     """
     c, width = cells.c, cells.width
     trials, sites = x.shape
@@ -656,7 +657,7 @@ def _nearest_bs(
         probe = wide
     per_axis = sites // c
     t, column, row = np.indices((trials, per_axis, per_axis)).reshape(3, -1)
-    own = ((first_trial + t) * width + cells.lead + row) * width + cells.lead + column
+    own = (t * width + cells.lead + row) * width + cells.lead + column
     # A cell that holds no probe is not scanned: its sites' results go unread.
     held = np.flatnonzero(probe.reshape(trials, per_axis, c, per_axis, c).any(axis=(2, 4)))
     # The 3 x 3 cells about each held cell as three runs of sorted
@@ -689,12 +690,9 @@ def _nearest_bs(
     edge -= margin
     bound = np.broadcast_to(edge, probe.shape)[probe]
     bound += cells.side
-    far = best2 > bound * bound
-    if enough is not None:
-        far &= np.sqrt(best2) >= enough
-    far = np.flatnonzero(far)
+    far = np.flatnonzero(best2 > bound * bound)
     t, i, j = np.unravel_index(np.flatnonzero(probe)[far], probe.shape)
-    start = (first_trial + t) * (width * width)
+    start = t * (width * width)
     lo = cells.starts[start]
     # Each far probe is an owner of one site, whose one run is every BS of
     # its trial, its 3 x 3 candidates among them.
@@ -819,14 +817,15 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
     nearest BS is searched for among its own trial's BSs alone
     (_nearest_bs); the searches do not depend on the rule, so one
     realization of BSs and lattice probes serves both.  Both BS processes
-    and every trial's lattice shift are drawn first, and each tier's BSs
-    are sorted into cells on the probe lattice (_lattice_cells), which then
-    stand in for the drawn coordinates.  The probes of _LOAD_BLOCK trials
-    at a time are then laid out (_probe_lattice), searched in each tier as
-    the lattice sites they are (_nearest_bs) and booked to their BSs, and
-    only integer per-trial counts of the probes that in-region BSs serve
-    outlive a block: the totals a sum over the BSs would give, exactly.
-    The estimate is the ratio of the users counted by probes served by
+    and every trial's lattice shift are drawn first.  Then, _LOAD_BLOCK
+    trials at a time, the block's probes are laid out (_probe_lattice),
+    each tier's BSs of the block, contiguous rows as the draws run trial
+    after trial, are sorted into cells on the block's lattice
+    (_lattice_cells), and the probes are searched in each tier as the
+    lattice sites they are (_nearest_bs) and booked to their BSs.  Only
+    integer per-trial counts of the probes that in-region BSs serve outlive
+    a block: the totals a sum over the BSs would give, exactly.  The
+    estimate is the ratio of the users counted by probes served by
     in-region BSs to the in-region BS count (unbiased for the typical cell;
     the BS nearest the origin would be size-biased).  Everything runs on
     the calling thread: in a validation run this is the one batch of
@@ -838,13 +837,9 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
     the nearest macro BS is in-region, or no nearer than
     rho - pick_small - margin, rho being the probe's distance to its trial
     centre).  Any other probe is served out of region under both rules, so
-    it is booked to its nearest macro BS.  A macro search stops early once
-    a probe has a macro BS nearer than rho - max(pick) - margin: its
-    nearest macro BS is then out of region and nearer than every in-region
-    BS of either tier, so it needs no small-cell lookup, and the
-    out-of-region macro BS it is booked to counts in no estimate.  The
-    estimates are thus those of looking up every probe in both tiers, bit
-    for bit; the rules compare the distances of the looked-up probes alone.
+    it is booked to its nearest macro BS.  The estimates are thus those of
+    looking up every probe in both tiers, bit for bit; the rules compare
+    the distances of the looked-up probes alone.
 
     Raises RuntimeError, naming the process or the probe lattice, when a
     Poisson mean is not finite or one process or the lattice would hold
@@ -894,29 +889,35 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
             # nearest queries; astronomically unlikely at these radii.
             raise RuntimeError("a trial sampled zero base stations; enlarge the window")
         interior = radial <= geo["picks"][tier]
+        # The rows of trial t's BSs are bounds[t] .. bounds[t + 1] - 1.
+        bounds = np.zeros(trials + 1, dtype=np.int64)
+        np.cumsum(counts, out=bounds[1:])
         bs[tier] = {
             "pts": pts,
-            "counts": counts,
+            "bounds": bounds,
             "interior": interior,
             # Per trial: the in-region BSs, and per rule the probes they serve.
-            "in_region": np.add.reduceat(interior, np.cumsum(counts) - counts, dtype=np.int64),
+            "in_region": np.add.reduceat(interior, bounds[:-1], dtype=np.int64),
             "served": {rule: np.zeros(trials, dtype=np.int64) for rule in rules},
         }
-        del pts, radial  # the cells below keep sorted copies
+        del radial
 
     shifts, spacing = _probe_shifts(rng, params.user_density, geo["r_user"], trials)
-    for tier, info in bs.items():
-        if info is not None:
-            info["cells"] = _lattice_cells(
-                info.pop("pts"), np.repeat(np.arange(trials), info.pop("counts")), shifts,
-                spacing, geo["r_user"], tier_params(params, tier).density,
-                geo["r_bs"][tier],
-            )
-    macro, small = bs[Tier.MACRO], bs[Tier.SMALL]
-    # A probe with a macro BS nearer than rho - out_pick is served out of
-    # region whatever its nearest BS of either tier is.
-    out_pick = max(geo["picks"].values()) + margin
 
+    def search(tier: Tier, block: slice, x, y, probe):
+        """The nearest BS of the tier to each probe of the block's trials:
+        its distance, and whether it is in-region."""
+        bounds = bs[tier]["bounds"][block.start:block.stop + 1]
+        rows = slice(bounds[0], bounds[-1])
+        cells = _lattice_cells(
+            bs[tier]["pts"][rows], np.repeat(np.arange(bounds.size - 1), np.diff(bounds)),
+            shifts[:, block], spacing, geo["r_user"], tier_params(params, tier).density,
+            geo["r_bs"][tier],
+        )
+        d, i = _nearest_bs(cells, x, y, probe, margin)
+        return d, bs[tier]["interior"][rows][i]
+
+    macro, small = bs[Tier.MACRO], bs[Tier.SMALL]
     n_probes = 0
     small_lookups = 0
     for start in range(0, trials, _LOAD_BLOCK):
@@ -925,10 +926,7 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
             shifts[:, block], spacing, geo["r_user"]
         )
         n_probes += probe_trial.size
-        d_m, i_m = _nearest_bs(
-            macro["cells"], x, y, inside, start, margin, probe_radial - out_pick
-        )
-        macro_in = macro["interior"][i_m]
+        d_m, macro_in = search(Tier.MACRO, block, x, y, inside)
         asked = np.zeros(0, dtype=np.int64)
         if small is not None:
             needed = _needs_small_lookup(
@@ -942,8 +940,7 @@ def _load_estimates(params: ScenarioParams, trials: int, seed: int) -> LoadEstim
         if asked.size:
             looked_up = np.zeros_like(inside)
             looked_up[inside] = needed
-            d_s, i_s = _nearest_bs(small["cells"], x, y, looked_up, start, margin)
-            small_in = small["interior"][i_s]
+            d_s, small_in = search(Tier.SMALL, block, x, y, looked_up)
         d_m_asked = d_m[asked]
         small_wins_by_rule = {
             "power": _power_rule_small_wins(params, d_m_asked, d_s),

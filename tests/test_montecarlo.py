@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -589,8 +590,8 @@ def test_samplers_reject_a_negative_seed():
         _load_estimates(DEFAULTS, 10, -1)
 
 
-def _run_fresh(script: str) -> str:
-    env = dict(os.environ)
+def _run_fresh(script: str, environ=os.environ) -> str:
+    env = dict(environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -618,6 +619,35 @@ def test_validation_imports_no_kd_tree():
         """
     )
     assert out == ["False"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's malloc")
+def test_validation_reuses_its_heap_pages():
+    # glibc maps each block above its mmap threshold afresh, so its pages
+    # fault in on every use, until a freed mapped block raises the
+    # threshold; _run_jobs frees one before its batches run.  With no
+    # allocator tuning in the environment, a third validation run in one
+    # process takes a handful of minor page faults: 7,600 to 10,200 a run
+    # were seen when the coverage batches' arrays were mapped afresh.
+    environ = {
+        key: value
+        for key, value in os.environ.items()
+        if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"
+    }
+    out = _run_fresh(
+        """
+        import resource
+        import hetmec
+        from hetmec.validate import run_validation
+
+        for _ in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            run_validation(hetmec.default_params(), 20_000, seed=8)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """,
+        environ,
+    )
+    assert int(out[0]) < 1000
 
 
 def test_analytic_paths_start_no_thread():
@@ -731,14 +761,21 @@ def test_empirical_load_probe_conservation(monkeypatch):
     # realization's BSs add up exactly to the probes drawn in it: each probe
     # is served once, by a BS of its own trial.  A spy on the cell search
     # records the probes of each search, their trials and the trials of the
-    # BSs it found; the macro searches are the ones given a bound to stop at.
+    # BSs it found.  Each block lays its sites out once: its macro search
+    # comes first, and its small-cell search, if any, is given the same
+    # sites; the block's trials follow those of the blocks before it.
     searches = []
+    blocks = []  # each block's site columns and first trial
     search = hetmec.montecarlo._nearest_bs
 
-    def spy(cells, x, y, probe, first_trial, margin, enough=None):
-        d, i = search(cells, x, y, probe, first_trial, margin, enough)
-        probes, probe_trial = _lattice_probes(x, y, probe, first_trial)
-        searches.append((enough is not None, _cell_bs_trial(cells)[i], probes, probe_trial, d))
+    def spy(cells, x, y, probe, margin):
+        d, i = search(cells, x, y, probe, margin)
+        macro = not blocks or blocks[-1][0] is not x
+        if macro:
+            blocks.append((x, sum(sites.shape[0] for sites, _ in blocks)))
+        first = blocks[-1][1]
+        probes, probe_trial = _lattice_probes(x, y, probe)
+        searches.append((macro, first + _cell_bs_trial(cells)[i], probes, first + probe_trial, d))
         return d, i
 
     monkeypatch.setattr(hetmec.montecarlo, "_nearest_bs", spy)
@@ -835,51 +872,47 @@ def _cell_bs(cells) -> np.ndarray:
 
 
 def _cell_bs_trial(cells) -> np.ndarray:
-    """The trial of each BS of a cell index, in the rows they were given in."""
+    """The trial of each BS of a cell index, counted from the index's first,
+    in the rows they were given in."""
     trial = np.empty(cells.order.size, dtype=np.int64)
     cell = np.arange(cells.starts.size - 1)
     trial[cells.order] = np.repeat(cell // cells.width**2, np.diff(cells.starts))
     return trial
 
 
-def _lattice_probes(x, y, probe, first_trial: int):
+def _lattice_probes(x, y, probe):
     """The probes that a cell search is given as lattice sites, as points,
     and their trials: the sites that `probe` marks, in C order."""
     t, i, j = np.nonzero(probe)
-    return np.column_stack((x[t, i], y[t, j])), first_trial + t
+    return np.column_stack((x[t, i], y[t, j])), t
 
 
 @pytest.mark.parametrize("trials", [1, 30])
 @pytest.mark.parametrize("config", list(LOAD_CONFIGS))
 def test_cell_search_matches_kd_tree(config, trials, monkeypatch):
-    # Every cell search of the load sampler, run to the end, gives each probe
-    # the distance and the BS that scipy's KD-tree gives, bit for bit; a
-    # search its bound stopped early kept a BS nearer than that bound.
+    # Every cell search of the load sampler gives each probe the distance
+    # and the BS that scipy's KD-tree gives, bit for bit, and its cells hold
+    # the trials of its block alone.
     raw, tail_log = LOAD_CONFIGS[config]
     if tail_log is not None:
         monkeypatch.setattr(hetmec.montecarlo, "_LOAD_TAIL_LOG", tail_log)
     searches = []
     search = hetmec.montecarlo._nearest_bs
 
-    def spy(cells, x, y, probe, first_trial, margin, enough=None):
-        d, i = search(cells, x, y, probe, first_trial, margin, enough)
-        searches.append((cells, x, y, probe, first_trial, margin, enough, d, i))
+    def spy(cells, x, y, probe, margin):
+        d, i = search(cells, x, y, probe, margin)
+        searches.append((cells, x, y, probe, d, i))
         return d, i
 
     monkeypatch.setattr(hetmec.montecarlo, "_nearest_bs", spy)
     _load_estimates(params_from_raw(raw), trials=trials, seed=51)
-    assert any(enough is not None for *_, enough, _, _ in searches)
-    for cells, x, y, probe, first_trial, margin, enough, d, i in searches:
+    assert searches
+    for cells, x, y, probe, d, i in searches:
+        assert cells.starts.size - 1 == x.shape[0] * cells.width**2
         want_d, want_i = kd_tree_nearest(
-            _cell_bs(cells), _cell_bs_trial(cells), *_lattice_probes(x, y, probe, first_trial)
+            _cell_bs(cells), _cell_bs_trial(cells), *_lattice_probes(x, y, probe)
         )
-        got_d, got_i = search(cells, x, y, probe, first_trial, margin)
-        assert np.array_equal(got_d, want_d) and np.array_equal(got_i, want_i)
-        early = (d != want_d) | (i != want_i)
-        if enough is None:
-            assert not early.any()
-        else:
-            assert np.all(d[early] < enough[early])
+        assert np.array_equal(d, want_d) and np.array_equal(i, want_i)
 
 
 def _edge_points(rng, n: int, side: int) -> np.ndarray:
@@ -929,7 +962,7 @@ def test_cell_search_on_cell_edges_and_corners(bs_counts, c):
     x = np.tile(np.arange(-4, 3) + 0.5, (trials, 1))
     y = x.copy()
     everywhere = np.ones((trials, 7, 7), dtype=bool)
-    sites, site_trial = _lattice_probes(x, y, everywhere, 0)
+    sites, site_trial = _lattice_probes(x, y, everywhere)
     d2 = ((sites[:, None, :] - bs[None, :, :]) ** 2).sum(axis=2)
     own = site_trial[:, None] == bs_trial[None, :]
     nearest_anywhere = d2.argmin(axis=1)
@@ -946,8 +979,8 @@ def test_cell_search_on_cell_edges_and_corners(bs_counts, c):
     # column 1.
     corner = np.full((2, trials), -4.0 - c)
     cells = hetmec.montecarlo._Cells(bs, bs_trial, corner, float(c), 8 // c + 2, c, 1)
-    d, i = hetmec.montecarlo._nearest_bs(cells, x, y, probe, 0, _LOOKUP_MARGIN * 4.0)
-    want_d, want_i = kd_tree_nearest(bs, bs_trial, *_lattice_probes(x, y, probe, 0))
+    d, i = hetmec.montecarlo._nearest_bs(cells, x, y, probe, _LOOKUP_MARGIN * 4.0)
+    want_d, want_i = kd_tree_nearest(bs, bs_trial, *_lattice_probes(x, y, probe))
     assert np.array_equal(d, want_d) and np.array_equal(i, want_i)
 
 
@@ -996,11 +1029,11 @@ def test_scan_matches_a_plain_loop(c):
 
 
 def test_load_stage_memory_peak():
-    # The load stage keeps the probes of one block of trials at a time, and
-    # its cells in place of the drawn BSs: at the validation's load
-    # realization its traced peak, cells and whole-trial pass included,
-    # stays within 9.0 MiB (about 7.7 MiB measured).  A block of 24 trials
-    # at cells of 0.7 BS spacings took 10.4 MiB.
+    # The load stage keeps the drawn BSs of every trial, and the probes and
+    # cells of one block of trials at a time: at the validation's load
+    # realization its traced peak, the block's cells and whole-trial pass
+    # included, stays within 6.0 MiB (about 4.1 MiB measured).  Cells built
+    # once for all trials took 7.7 MiB.
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -1012,7 +1045,7 @@ def test_load_stage_memory_peak():
     finally:
         if started:
             tracemalloc.stop()
-    assert peak <= 9.0 * 2**20
+    assert peak <= 6.0 * 2**20
 
 
 def test_load_sampler_looks_up_few_small_cells():
