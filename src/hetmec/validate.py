@@ -84,9 +84,10 @@ def run_validation(params: ScenarioParams, trials: int, seed: int = 0) -> Valida
     per-cell loads take max(160, trials // 400) realizations.  All of the
     sampler's work is one montecarlo._run_jobs call: the load stage first,
     as its one task is the longest (about 0.1 s), then the association and
-    coverage batches around it, which keeps the full run to about 0.3 s at
-    trials = 1e5 on a 2-vCPU host.  Coverage is drawn once per coverage
-    law, and every estimate is the one its own empirical_* or
+    coverage batches around it, which keeps the full run to about 0.16 s
+    of wall time at trials = 1e5 on a 2-vCPU host (median of 7 runs; 0.15
+    to 0.20 s as the host's speed drifts).  Coverage is drawn once per
+    coverage law, and every estimate is the one its own empirical_* or
     _load_estimates call gives at the same seed.
     """
     if trials < 1:
