@@ -84,10 +84,10 @@ def run_validation(params: ScenarioParams, trials: int, seed: int = 0) -> Valida
     per-cell loads take max(160, trials // 400) realizations.  All of the
     sampler's work is one montecarlo._run_jobs call: the load stage first,
     as its one task is the longest (about 0.1 s), then the association and
-    coverage batches around it, which keeps the full run to about 0.16 s
-    of wall time at trials = 1e5 on a 2-vCPU host (median of 7 runs; 0.15
-    to 0.20 s as the host's speed drifts).  Coverage is drawn once per
-    coverage law, and every estimate is the one its own empirical_* or
+    coverage batches around it, which keeps the full run to about 0.19 s
+    of wall time at trials = 1e5 on a 2-vCPU host (medians of 7 rounds of
+    5 runs at seeds 8, 2 and 3: 0.18 to 0.20 s).  Coverage is drawn once
+    per coverage law, and every estimate is the one its own empirical_* or
     _load_estimates call gives at the same seed.
     """
     if trials < 1:
@@ -210,9 +210,11 @@ def validation_csv(report: ValidationReport, params: ScenarioParams) -> str:
         "# coverage estimator = conditional success probability per trial given"
         " the point process (serving and interferer fades averaged); serving"
         " distance drawn from its law given the"
-        " serving tier; interferers sampled out to a per-trial outer radius,"
-        f" the larger of {mc_mod._INTERFERER_SPAN:g} typical spacings and 1.5 x the"
-        " trial's exclusion radius, the field beyond by its Laplace functional",
+        " serving tier; interferers sampled in an annulus beyond the trial's"
+        " exclusion radius of the area of a disc of"
+        f" {mc_mod._INTERFERER_SPAN:g} typical spacings, Poisson"
+        f"({mc_mod._INTERFERER_SPAN ** 2:g}) per field per trial, the field beyond"
+        " by its Laplace functional",
         f"# pass = {report.passed}",
     ]
     if report.insufficient_power:

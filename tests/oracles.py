@@ -13,7 +13,9 @@ reach by its own void alone, scipy's KD-tree is the nearest-BS search that
 the sampler's cell search must match bit for bit, the indexed field
 exponent multiplies each interferer's factor into its trial through an
 explicit per-interferer trial index, the explicit-fade field draws the
-interferers' fades that the sampler averages out, and the serial coverage
+interferers' fades that the sampler averages out (both take each trial's
+interferer count from scipy's Poisson quantile function, not from the
+sampler's table), and the serial coverage
 sampler runs the coverage batches one after another in the calling
 thread.  The two coverage references check the dispatch and the
 serving-distance law; each takes its trials' values from the library's
@@ -25,6 +27,7 @@ interferers spelled out from the nearest-BS distances it draws.
 import math
 
 import numpy as np
+from scipy import stats
 
 from hetmec.association import (
     Link,
@@ -99,25 +102,35 @@ def dl_coverage_interference_limited(gamma_dl: float) -> float:
     return 1.0 / (1.0 + psi(gamma_dl))
 
 
+def _annulus_counts(rng, density, size):
+    """Each trial's interferer count and its annulus's squared-radius width.
+
+    The counts come from `size` uniforms, the library's first draw, through
+    scipy's Poisson quantile function at mean span^2, not the library's
+    table; the span is read from the library's module at call time, so a
+    test that patches it moves both.
+    """
+    span = montecarlo._INTERFERER_SPAN
+    counts = stats.poisson.ppf(rng.random(size), span * span).astype(np.int64)
+    return counts, span * span / (math.pi * density)
+
+
 def indexed_field_exponent(rng, density, gamma, exclusion2):
     """`montecarlo._field_exponent` multiplied through a per-interferer trial index.
 
-    The same draws in the same order: Poisson counts, then one uniform per
-    interferer for its d = r^2 / e^2.  Each interferer's trial is looked up
-    by index and its factor 1 + gamma / d^2 multiplied into that trial with
-    `np.multiply.at`.  The span is read from the library's module at call
-    time, so a test that patches it moves both.
+    The same draws in the same order: one uniform per trial for its count
+    (_annulus_counts), then one uniform per interferer for its
+    d = r^2 / e^2 in the annulus e^2 <= r^2 <= e^2 + A.  Each interferer's
+    trial is looked up by index and its factor 1 + gamma / d^2 multiplied
+    into that trial with `np.multiply.at`.
     """
-    span = montecarlo._INTERFERER_SPAN
-    spans2 = span * span / (math.pi * density)
-    outer2 = np.maximum(spans2, 2.25 * exclusion2)
-    width = outer2 - exclusion2
-    counts = rng.poisson(density * math.pi * width)
+    counts, area2 = _annulus_counts(rng, density, exclusion2.size)
     trial_of = np.repeat(np.arange(exclusion2.size), counts)
-    d = 1.0 + rng.random(trial_of.size) * (width / exclusion2)[trial_of]
+    d = 1.0 + rng.random(trial_of.size) * (area2 / exclusion2)[trial_of]
     near = np.ones(exclusion2.size)
     np.multiply.at(near, trial_of, 1.0 + (math.sqrt(gamma) / d) ** 2)
-    exponent = np.log(near) + _far_field_exponent(density, math.sqrt(gamma) * exclusion2, outer2)
+    far = _far_field_exponent(density, math.sqrt(gamma) * exclusion2, exclusion2 + area2)
+    exponent = np.log(near) + far
     return exponent, int(trial_of.size)
 
 
@@ -125,21 +138,17 @@ def explicit_fade_field_exponents(rng, density, power, s, exclusion2, fades):
     """s * I_near plus the far-field exponent of one field, fades drawn.
 
     The interferer field as the sampler drew it before its fades were
-    averaged out: the Poisson counts and one uniform squared radius per
-    interferer, in `montecarlo._field_exponent`'s order, so one generator
-    state gives both the same interferers; then `fades` rounds of one
-    exponential fade per interferer, the weights P h / r^4 summed into
-    their trials.  Returns the exponents, one row per round, and the
-    number of interferers.
+    averaged out: the counts (_annulus_counts) and one uniform squared
+    radius per interferer in the annulus, in `montecarlo._field_exponent`'s
+    order, so one generator state gives both the same interferers; then
+    `fades` rounds of one exponential fade per interferer, the weights
+    P h / r^4 summed into their trials.  Returns the exponents, one row per
+    round, and the number of interferers.
     """
-    span = montecarlo._INTERFERER_SPAN
-    spans2 = span * span / (math.pi * density)
-    outer2 = np.maximum(spans2, 2.25 * exclusion2)
-    width = outer2 - exclusion2
-    counts = rng.poisson(density * math.pi * width)
+    counts, area2 = _annulus_counts(rng, density, s.size)
     trial_of = np.repeat(np.arange(s.size), counts)
-    r2 = exclusion2[trial_of] + rng.random(trial_of.size) * width[trial_of]
-    far = _far_field_exponent(density, np.sqrt(s * power), outer2)
+    r2 = exclusion2[trial_of] + rng.random(trial_of.size) * area2
+    far = _far_field_exponent(density, np.sqrt(s * power), exclusion2 + area2)
     exponents = np.empty((fades, s.size))
     for row in exponents:
         weights = power * rng.standard_exponential(trial_of.size) / (r2 * r2)

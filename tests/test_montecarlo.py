@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from hetmec.montecarlo import (
     _far_field_exponent,
     _field_exponent,
     _coverage_law,
+    _poisson_cdf,
     _Job,
     _load_estimates,
     _load_regions,
@@ -265,17 +267,59 @@ def test_coverage_std_error_within_binomial(policy, link, tier):
     assert 0.0 < est.std_error <= math.sqrt(est.mean * (1.0 - est.mean) / trials)
 
 
+def _assert_poisson_counts(est, fields):
+    # Each field of each trial draws Poisson(span^2) interferers whatever
+    # its serving distance, so the count over all trials is Poisson with
+    # mean and variance span^2 * fields * trials; held to 4 standard errors.
+    mean = _INTERFERER_SPAN**2 * fields
+    assert abs(est.interferers / est.trials - mean) < 4.0 * math.sqrt(mean / est.trials), est
+
+
 @pytest.mark.parametrize("policy,tier", [(policy, tier) for policy in Policy for tier in Tier])
 def test_uplink_sampler_counts(policy, tier):
-    # Each trial's outer radius follows its own exclusion radius, so a trial
-    # samples about 9 interferers (3 typical spacings, less its exclusion
-    # disc) whatever its serving distance: 8.0 to 8.5 here, against 13.5
-    # to 15.4 at a span of 4.
+    # One field: 9 interferers per trial at a span of 3, within 0.085.
     trials = 20_000
     est = empirical_coverage(
         DEFAULTS, policy, Link.UL, tier, DEFAULTS.ul_sinr_threshold, trials, seed=12
     )
-    assert est.interferers / est.trials <= 12.0
+    _assert_poisson_counts(est, fields=1)
+
+
+@pytest.mark.parametrize("tier", list(Tier))
+def test_downlink_sampler_counts(tier):
+    # Both tiers interfere on the downlink: 18 per trial, within 0.12.
+    trials = 20_000
+    assert len(_coverage_law(DEFAULTS, Policy.COUPLED, Link.DL, tier).fields) == 2
+    est = empirical_coverage(
+        DEFAULTS, Policy.COUPLED, Link.DL, tier, DEFAULTS.dl_sinr_threshold, trials, seed=12
+    )
+    _assert_poisson_counts(est, fields=2)
+
+
+@pytest.mark.parametrize("span", [1e-3, 3.0, 6.0])
+def test_poisson_table_inverts_the_poisson_law(span):
+    # The count table at the spans the tests set: each probability within
+    # 1e-15 of exp(-m) m^k / k! in exact rational arithmetic (scipy's own
+    # pmf, exp of a difference of logs, is 1.3e-15 off at m = 36), the
+    # mass beyond its last entry below 2^-53, and its counts those of
+    # scipy's quantile function except where a uniform ties a CDF value.
+    mean = span * span
+    cdf = _poisson_cdf(mean)
+    assert not cdf.flags.writeable
+    assert _poisson_cdf(mean) is cdf
+    exact = np.array(
+        [
+            float(Fraction(mean) ** k / math.factorial(k) * Fraction(math.exp(-mean)))
+            for k in range(cdf.size)
+        ]
+    )
+    np.testing.assert_allclose(np.diff(cdf, prepend=0.0), exact, rtol=0.0, atol=1e-15)
+    assert stats.poisson.sf(cdf.size - 1, mean) < 2.0**-53
+    u = _rng(66, 1).random(100_000)
+    counts = np.searchsorted(cdf, u, side="right")
+    expected = stats.poisson.ppf(u, mean)
+    ties = np.isin(u, cdf)
+    assert np.array_equal(counts[~ties], expected[~ties])
 
 
 SERVING_LAW_CONFIGS = {
@@ -375,36 +419,35 @@ def test_segment_sums_match_indexed_field_exponent(config, field, span, monkeypa
 
 
 def test_trials_without_interferers_keep_the_far_field_exactly(monkeypatch):
-    # With a span of half a typical spacing and exclusion radii inside 2/3
-    # of it, every outer radius is the span and a trial draws no interferer
-    # with probability about 0.8; its exponent is then the far field beyond
-    # the span alone.  Such trials lie first, last and scattered among
-    # trials that draw.
+    # With a span of half a typical spacing every trial expects 0.25
+    # interferers and draws none with probability exp(-0.25), about 0.78;
+    # its exponent is then the far field beyond its annulus alone.  Such
+    # trials lie first, last and scattered among trials that draw.
     density = DEFAULTS.macro.density + DEFAULTS.small.density
     gamma = 1e-3
     n = 2_000
 
     def inputs(span):
         monkeypatch.setattr(hetmec.montecarlo, "_INTERFERER_SPAN", span)
-        spans2 = span * span / (math.pi * density)
-        exclusion2 = spans2 * _rng(62, 0).uniform(0.0, 0.4, n)
-        outer2 = np.maximum(spans2, 2.25 * exclusion2)
-        far = _far_field_exponent(density, math.sqrt(gamma) * exclusion2, outer2)
-        return exclusion2, outer2, far
+        area2 = span * span / (math.pi * density)
+        exclusion2 = area2 * _rng(62, 0).uniform(0.0, 0.4, n)
+        far = _far_field_exponent(density, math.sqrt(gamma) * exclusion2, exclusion2 + area2)
+        return exclusion2, far
 
-    exclusion2, outer2, far = inputs(0.5)
-    # The counts are the first draw of the generator.
-    empty = _rng(62, 1).poisson(density * math.pi * (outer2 - exclusion2)) == 0
+    exclusion2, far = inputs(0.5)
+    # The counts come from the generator's first n uniforms.
+    empty = stats.poisson.ppf(_rng(62, 1).random(n), 0.25) == 0
     assert empty[0] and empty[-1] and 0 < np.count_nonzero(empty) < n
     rng, reference = _rng(62, 1), _rng(62, 1)
     got, sampled = _field_exponent(rng, density, gamma, exclusion2)
     expected, expected_sampled = indexed_field_exponent(reference, density, gamma, exclusion2)
     assert sampled == expected_sampled > 0
+    assert rng.bit_generator.state == reference.bit_generator.state
     assert np.array_equal(got[empty], far[empty])
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
     # A batch in which no trial draws an interferer: at a span of 1e-3
-    # spacings each trial expects at most 1e-6 of them.
-    exclusion2, outer2, far = inputs(1e-3)
+    # spacings each trial expects 1e-6 of them.
+    exclusion2, far = inputs(1e-3)
     got, sampled = _field_exponent(_rng(62, 2), density, gamma, exclusion2)
     assert sampled == 0
     assert np.array_equal(got, far)
@@ -453,8 +496,8 @@ def test_extreme_geometry_gives_probabilities(monkeypatch):
             values = np.exp(-exponent)
         assert sampled > 0 and np.all(exponent >= 0.0), gamma
         assert np.all((values >= 0.0) & (values <= 1.0)), gamma
-    # At a span of 1e-3 spacings, and exclusion radii within it, no trial
-    # draws an interferer.
+    # At a span of 1e-3 spacings each trial expects 1e-6 interferers, and
+    # none draws one.
     monkeypatch.setattr(hetmec.montecarlo, "_INTERFERER_SPAN", 1e-3)
     with raising():
         exponent, sampled = _field_exponent(
